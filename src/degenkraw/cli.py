@@ -25,12 +25,11 @@ import sys
 import mpmath
 from mpmath import mp
 
-from .audit import run_audit
+from .audit import PROPERTIES, run_audit, verify_property
 from .config import Config, ConfigError, load_config
 from .measure import MeasureModel, to_mpf
 from .polys import K_ROUTES, P_ROUTES, family
 from .sampling import histogram, sample, tv_distance
-from .verify import PROPERTIES, verify_property
 
 _ALL_ROUTES = K_ROUTES + P_ROUTES + ("classical",)
 

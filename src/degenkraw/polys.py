@@ -258,28 +258,36 @@ def stirling_transition(n: int, k: int, q, upper: str = "plus") -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def theta_power_weights(q: Fraction, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
+    """weights[k][n] = n! [z^n] theta(z)^k / k! for k, n <= n_max, from exact
+    series powers of theta = log((1+z)/(1+qz))."""
+    theta = theta_series(q, n_max)
+    power = TSeries.one(n_max)
+    weights = []
+    for k in range(n_max + 1):
+        weights.append(
+            tuple(math.factorial(n) * power.coeff(n) / math.factorial(k) for n in range(n_max + 1))
+        )
+        if k < n_max:
+            power = power * theta
+    return tuple(weights)
+
+
+@lru_cache(maxsize=None)
 def K_stirling(params: Params, n_max: int, variant: str = "oracle") -> PolyFamily:
     """Expansion of K_n over the companions with log-power weights.
 
-    variant="oracle" takes the weight of P_k as n! [z^n] theta(z)^k / k!
-    computed by exact series powers (the unambiguous definition);
-    variant="literal" evaluates the printed double Stirling sum with its
-    printed inner bound n-k-j.  ``stirling_transition(..., "plus")``
-    reproduces the oracle weights, which the tests assert.
+    variant="oracle" takes the weight of P_k from ``theta_power_weights``
+    (the unambiguous definition); variant="literal" evaluates the printed
+    double Stirling sum with its printed inner bound n-k-j.
+    ``stirling_transition(..., "plus")`` reproduces the oracle weights,
+    which the tests assert.
     """
     if variant not in ("oracle", "literal"):
         raise ValueError(f"unknown K_stirling variant {variant!r}")
     p_fam = P_series(params, n_max)
     if variant == "oracle":
-        theta = theta_series(params.q, n_max)
-        power = TSeries.one(n_max)
-        weights = []  # weights[k][n] = n! [z^n] theta^k / k!
-        for k in range(n_max + 1):
-            weights.append(
-                [math.factorial(n) * power.coeff(n) / math.factorial(k) for n in range(n_max + 1)]
-            )
-            if k < n_max:
-                power = power * theta
+        weights = theta_power_weights(params.q, n_max)
         coeff = lambda n, k: weights[k][n]
     else:
         coeff = lambda n, k: stirling_transition(n, k, params.q, "minus")
@@ -452,34 +460,29 @@ def addition_P4(n: int, params: Params) -> XYPoly:
 # route dispatch
 # ---------------------------------------------------------------------------
 
+# route name -> builder(params, n_max, order)
+_ROUTES = {
+    "series": lambda params, n_max, order: K_series(params, n_max, order),
+    "epsilon": lambda params, n_max, order: K_epsilon(params, n_max),
+    "from-p": lambda params, n_max, order: K_from_P(params, n_max),
+    "bell-corrected": lambda params, n_max, order: K_bell(params, n_max, "corrected"),
+    "bell-literal": lambda params, n_max, order: K_bell(params, n_max, "literal"),
+    "stirling-oracle": lambda params, n_max, order: K_stirling(params, n_max, "oracle"),
+    "stirling-literal": lambda params, n_max, order: K_stirling(params, n_max, "literal"),
+    "p-series": lambda params, n_max, order: P_series(params, n_max, order),
+    "p-bell": lambda params, n_max, order: P_bell(params, n_max),
+    "p-from-k": lambda params, n_max, order: P_from_K(params, n_max),
+    "p-stirling2": lambda params, n_max, order: P_from_K_stirling2(params, n_max),
+    "classical": lambda params, n_max, order: classical_K(params.p, params.r, n_max, order),
+}
+
+
 def family(params: Params, n_max: int, route: str, order: int | None = None) -> PolyFamily:
     """Build a family by route name (see K_ROUTES and P_ROUTES).
 
     `order` is the shared series truncation order; routes that do not
     expand series ignore it (their members are order-free).
     """
-    if route == "series":
-        return K_series(params, n_max, order)
-    if route == "epsilon":
-        return K_epsilon(params, n_max)
-    if route == "from-p":
-        return K_from_P(params, n_max)
-    if route == "bell-corrected":
-        return K_bell(params, n_max, "corrected")
-    if route == "bell-literal":
-        return K_bell(params, n_max, "literal")
-    if route == "stirling-oracle":
-        return K_stirling(params, n_max, "oracle")
-    if route == "stirling-literal":
-        return K_stirling(params, n_max, "literal")
-    if route == "p-series":
-        return P_series(params, n_max, order)
-    if route == "p-bell":
-        return P_bell(params, n_max)
-    if route == "p-from-k":
-        return P_from_K(params, n_max)
-    if route == "p-stirling2":
-        return P_from_K_stirling2(params, n_max)
-    if route == "classical":
-        return classical_K(params.p, params.r, n_max, order)
-    raise ValueError(f"unknown route {route!r}")
+    if route not in _ROUTES:
+        raise ValueError(f"unknown route {route!r}")
+    return _ROUTES[route](params, n_max, order)

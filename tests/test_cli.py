@@ -1,12 +1,14 @@
 """CLI surface: config handling, output formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction as F
 
 import pytest
 
+from degenkraw.audit import PROPERTIES
 from degenkraw.cli import cmd_audit, cmd_moments, cmd_polys, cmd_sample, main
 from degenkraw.config import ConfigError, config_from_dict, load_config
 
@@ -210,6 +212,16 @@ class TestAuditCommand:
         a, _ = cmd_audit(cfg)
         b, _ = cmd_audit(cfg)
         assert a == b
+        # the set-A audit bytes are part of the CLI contract
+        assert hashlib.sha256(a.encode()).hexdigest() == (
+            "9acf311b4e97b0098285e069c959283af7c798ab4fbd711d57df7a2425814175"
+        )
+
+    @pytest.mark.parametrize("n_max", [0, 1])
+    def test_small_n_max(self, n_max):
+        text, code = cmd_audit(small_config(n_max=n_max, output_format="csv"))
+        assert code == 0
+        assert text.endswith("# entries=35\n# required_failures=0\n# result=ok\n")
 
     def test_via_main_exit_code(self, config_file, capsys):
         assert main(["audit", "--params", config_file, "--n-max", "6"]) == 0
@@ -236,28 +248,54 @@ class TestAuditReportContract:
             rep.add(AuditEntry("a", "", "canonical", "exact-match", "0", "", True))
 
 
+# stdout of `verify --n-max 8` on set A: part of the CLI contract, byte for byte
+VERIFY_LINES = {
+    "p1": "p1: PASS (exact member equality through n=8)",
+    "p2": "p2: PASS (x^n rebuilt exactly for n<=8)",
+    "p3": "p3: PASS (variant=corrected: zero residual through n=8)",
+    "p4": "p4: PASS (zero residual through n=8)",
+    "cross": "cross: PASS (5 main routes (n<=8) and 4 companion routes (n<=8) agree exactly)",
+    "normalization": "normalization: PASS (mass within 1e-20 of 1 (cutoff 275); "
+    "moments m<=8 within 1e-20 relative)",
+    "limit": "limit: PASS (max relative errors 5.425e-04, 5.426e-05, 5.426e-06 "
+    "at lam=-1e-4,-1e-5,-1e-6; decade ratios within [9, 11])",
+    "scaling": "scaling: PASS (expansion equals substitution for basis degrees <= 8, "
+    "z in {2, 1/3, -1}; composition law holds)",
+    "translation": "translation: PASS (group law exact; e^(yz) kernel action verified "
+    "through order 12)",
+}
+LITERAL_FAIL_LINES = {
+    "p3": "p3: FAIL (variant=literal: nonzero residual at n=1)",
+    "scaling": "scaling: FAIL (variant=literal: mismatch at basis degree 1, z=2)",
+}
+
+
 class TestVerifyCommand:
-    @pytest.mark.parametrize(
-        "prop",
-        ["p1", "p2", "p3", "p4", "cross", "normalization", "limit", "scaling", "translation"],
-    )
+    @pytest.mark.parametrize("prop", list(VERIFY_LINES))
     def test_all_properties_pass(self, config_file, capsys, prop):
         assert main(["verify", "--params", config_file, "--property", prop, "--n-max", "8"]) == 0
-        assert capsys.readouterr().out.startswith(f"{prop}: PASS")
+        assert capsys.readouterr().out == VERIFY_LINES[prop] + "\n"
 
-    def test_literal_scaling_variant_fails(self, config_file, capsys):
-        code = main(
-            [
-                "verify",
-                "--params",
-                config_file,
-                "--property",
-                "scaling",
-                "--variant",
-                "literal",
-                "--n-max",
-                "6",
-            ]
-        )
-        assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_properties_follow_registry(self):
+        assert PROPERTIES == tuple(VERIFY_LINES)
+
+    @pytest.mark.parametrize("prop", list(LITERAL_FAIL_LINES))
+    def test_literal_variants_fail(self, config_file, capsys, prop):
+        argv = ["verify", "--params", config_file, "--property", prop, "--variant", "literal"]
+        assert main(argv + ["--n-max", "8"]) == 1
+        assert capsys.readouterr().out == LITERAL_FAIL_LINES[prop] + "\n"
+
+    def test_broken_route_fails_naming_formula_id(self, config_file, capsys, monkeypatch):
+        from degenkraw import polys
+
+        def broken(params, n_max, order):
+            members = list(polys.K_series(params, n_max).members)
+            members[1] = members[1] + 1
+            return polys.PolyFamily(params, n_max, tuple(members), "from-p")
+
+        monkeypatch.setitem(polys._ROUTES, "from-p", broken)
+        argv = ["verify", "--params", config_file, "--n-max", "8", "--property"]
+        assert main(argv + ["p1"]) == 1
+        assert capsys.readouterr().out == "p1: FAIL (p1-basis-change: n=1: -1)\n"
+        assert main(argv + ["cross"]) == 1
+        assert capsys.readouterr().out == "cross: FAIL (k-route-from-p: n=1: -1)\n"

@@ -8,6 +8,8 @@ import pytest
 from degenkraw.combinat import epsilon, eta
 from degenkraw.measure import Params, exact_moments
 from degenkraw.polys import (
+    K_ROUTES,
+    P_ROUTES,
     K_bell,
     K_epsilon,
     K_from_P,
@@ -27,6 +29,7 @@ from degenkraw.polys import (
     monomial_from_K,
     mu_coeffs,
     stirling_transition,
+    theta_power_weights,
     xi_derivs,
     xi_series,
 )
@@ -144,6 +147,8 @@ class TestKFamily:
     def test_route_dispatch(self, set_a):
         for route in ("series", "epsilon", "from-p", "bell-corrected", "stirling-oracle"):
             assert family(set_a, 6, route).members == K_series(set_a, 6).members
+        for route in K_ROUTES + P_ROUTES + ("classical",):
+            assert family(set_a, 3, route).route == route
         with pytest.raises(ValueError):
             family(set_a, 4, "nope")
 
@@ -249,9 +254,11 @@ class TestStirlingTransition:
         n_max = 8
         theta = theta_series(params.q, n_max)
         power = TSeries.one(n_max)
+        weights = theta_power_weights(params.q, n_max)
         for k in range(n_max + 1):
             for n in range(n_max + 1):
                 oracle = math.factorial(n) * power.coeff(n) / math.factorial(k)
+                assert weights[k][n] == oracle
                 assert stirling_transition(n, k, params.q, "plus") == oracle
             power = power * theta
 
