@@ -29,7 +29,7 @@ import mpmath
 from mpmath import mp
 
 from .combinat import epsilon, epsilon_closed
-from .config import Config
+from .config import Config, ConfigError
 from .measure import MeasureModel, Params, to_mpf
 from .operators import (
     ChaosVector,
@@ -400,9 +400,10 @@ def _moment_literal_gap(c: RunContext):
 
 
 def _mixture_consistency(c: RunContext):
+    ns = range(min(10, c.n_max) + 1)
     worst = mp.mpf(0)
-    for n in range(min(10, c.n_max) + 1):
-        worst = max(worst, abs(c.model.mixture_pmf(n) - c.model.pmf(n)))
+    for n, mass in zip(ns, c.model.mixture_pmfs(ns)):
+        worst = max(worst, abs(mass - c.model.pmf(n)))
     return _within(worst, 15, f"n <= {min(10, c.n_max)};")
 
 
@@ -613,8 +614,8 @@ def _verify_translation(c: RunContext, variant: str):
     return True, "group law exact; e^(yz) kernel action verified through order 12"
 
 
-# property -> runner(ctx, variant) returning (passed, detail); only p3 and
-# scaling read the variant
+# property -> runner(ctx, variant) returning (passed, detail); only the
+# VARIANT_PROPERTIES read the variant
 VERIFY = {
     "p1": _audit_property(
         ("p1-basis-change",), lambda c: f"exact member equality through n={c.n_max}"
@@ -637,12 +638,22 @@ VERIFY = {
     "translation": _verify_translation,
 }
 PROPERTIES = tuple(VERIFY)
+VARIANT_PROPERTIES = ("p3", "scaling")
 
 
 def verify_property(config: Config, prop: str, variant: str = "corrected"):
-    """Run one property; returns (passed, detail)."""
+    """Run one property; returns (passed, detail).
+
+    Raises ConfigError for a variant other than "corrected" on a property
+    that has no such variant, rather than checking the canonical form.
+    """
     if prop not in VERIFY:
         raise ValueError(f"unknown property {prop!r}")
+    if variant != "corrected" and prop not in VARIANT_PROPERTIES:
+        raise ConfigError(
+            f"variant {variant!r} exists only for properties "
+            f"{' and '.join(VARIANT_PROPERTIES)}, not {prop}"
+        )
     ctx = RunContext.of(config)
     with ctx.workdps():
         return VERIFY[prop](ctx, variant)

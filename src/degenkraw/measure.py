@@ -392,64 +392,86 @@ class MeasureModel:
 
     # -- Gamma mixture ---------------------------------------------------------
 
-    def mixture_density(self, s):
-        """Gamma density with shape -beta/lam and scale -lam (the mixing law)."""
+    def _mixing_law(self):
+        """(shape, scale, norm) of the mixing law: shape -beta/lam, scale -lam
+        and the density's normalizer norm = gamma(shape) * scale^shape."""
+        with self._dps():
+            shape = -to_mpf(self.params.beta / self.params.lam)
+            scale = -to_mpf(self.params.lam)
+            return shape, scale, mpmath.gamma(shape) * scale**shape
+
+    def _density(self, s, law):
+        # at the model's precision, also inside quadrature, which raises the
+        # working precision by 20 bits: the audit's residuals show the difference
         with self._dps():
             s = to_mpf(s)
             if s <= 0:
                 raise DomainError("the mixing density lives on s > 0")
-            shape = -to_mpf(self.params.beta / self.params.lam)
-            scale = -to_mpf(self.params.lam)
-            return (
-                s ** (shape - 1)
-                * mpmath.e ** (-s / scale)
-                / (mpmath.gamma(shape) * scale**shape)
-            )
+            shape, scale, norm = law
+            return s ** (shape - 1) * mpmath.e ** (-s / scale) / norm
+
+    def mixture_density(self, s):
+        """Gamma density with shape -beta/lam and scale -lam (the mixing law)."""
+        return self._density(s, self._mixing_law())
 
     def gamma_laplace(self, x):
         """Numeric integral of e^{-s x} against the mixing density."""
+        law = self._mixing_law()
+        shape, scale, _ = law
         with self._dps():
             x = to_mpf(x)
-            shape = -to_mpf(self.params.beta / self.params.lam)
-            scale = -to_mpf(self.params.lam)
             mean = shape * scale
             return mpmath.quad(
-                lambda s: mpmath.e ** (-s * x) * self.mixture_density(s),
+                lambda s: mpmath.e ** (-s * x) * self._density(s, law),
                 [0, mean, mpmath.inf],
             )
 
-    def mixture_pmf(self, n: int):
-        """Canonical mass reconstructed by quadrature against the mixing density.
+    def mixture_pmfs(self, ns) -> list:
+        """Canonical masses at each n of ``ns``, reconstructed by quadrature
+        against the mixing density; the independent oracle for ``pmf``.
 
-        Integrates the Pascal mass at n with rate parameter r*s over the Gamma
-        mixing law; serves as the independent oracle for ``pmf``.
+        Each mass integrates the Pascal mass at n with rate parameter r*s
+        over the Gamma mixing law.  All the integrals share one interval and
+        one working precision, so they visit the same nodes; the n-free part
+        of the integrand (loggamma(r*s), r*s*log p and the density) is kept
+        per node for the length of the call.
         """
-        if n < 0:
+        ns = list(ns)
+        if any(n < 0 for n in ns):
             raise ValueError("support is the nonnegative integers")
+        law = self._mixing_law()
+        shape, scale, _ = law
         with self._dps():
             q = to_mpf(self.params.q)
             logp = self._log_p()
             logq = mpmath.log(q)
             r = to_mpf(self.params.r)
-            shape = -to_mpf(self.params.beta / self.params.lam)
-            scale = -to_mpf(self.params.lam)
-            lognfact = mpmath.loggamma(n + 1)
-
-            def integrand(s):
-                if s <= 0:
-                    return mp.mpf(0)
-                rs = r * s
-                lognb = (
-                    mpmath.loggamma(n + rs)
-                    - mpmath.loggamma(rs)
-                    - lognfact
-                    + rs * logp
-                    + n * logq
-                )
-                return mpmath.e**lognb * self.mixture_density(s)
-
             mean = shape * scale
-            return mpmath.quad(integrand, [0, mean, mpmath.inf])
+            nodes = {}  # s -> (loggamma(r*s), r*s*log p, density at s)
+
+            def n_free(s):
+                if s not in nodes:
+                    rs = r * s
+                    nodes[s] = (mpmath.loggamma(rs), rs * logp, self._density(s, law))
+                return nodes[s]
+
+            def mass(n):
+                lognfact = mpmath.loggamma(n + 1)
+
+                def integrand(s):
+                    if s <= 0:
+                        return mp.mpf(0)
+                    lg, rslogp, density = n_free(s)
+                    lognb = mpmath.loggamma(n + r * s) - lg - lognfact + rslogp + n * logq
+                    return mpmath.e**lognb * density
+
+                return mpmath.quad(integrand, [0, mean, mpmath.inf])
+
+            return [mass(n) for n in ns]
+
+    def mixture_pmf(self, n: int):
+        """Canonical mass at n by quadrature; see ``mixture_pmfs``."""
+        return self.mixture_pmfs([n])[0]
 
     # -- joint normalized-exponential functional -------------------------------
 

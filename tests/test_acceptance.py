@@ -143,8 +143,8 @@ def test_criterion4_measure_consistency():
             for m in range(9):
                 exact = to_mpf(model.moment_exact(m))
                 ok &= bool(abs(sums[m] - exact) / max(abs(exact), mp.mpf(1)) < mpf10(-20))
-            for n in range(11):
-                ok &= bool(abs(model.mixture_pmf(n) - model.pmf(n)) < mpf10(-15))
+            for n, mass in zip(range(11), model.mixture_pmfs(range(11))):
+                ok &= bool(abs(mass - model.pmf(n)) < mpf10(-15))
     assert report("4", "mass in [1-1e-20,1]; moments 1e-20; mixture 1e-15; sets A/B/C", ok)
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from degenkraw.audit import PROPERTIES
+from degenkraw.audit import CHECKS, PROPERTIES, RunContext
 from degenkraw.cli import cmd_audit, cmd_moments, cmd_polys, cmd_sample, main
 from degenkraw.config import ConfigError, config_from_dict, load_config
 
@@ -217,6 +217,21 @@ class TestAuditCommand:
             "9acf311b4e97b0098285e069c959283af7c798ab4fbd711d57df7a2425814175"
         )
 
+    @pytest.mark.parametrize(
+        "formula_id, residual",
+        [
+            ("mixture-consistency", "1.0363402266113333550e-76"),
+            ("gamma-mixing-transform", "2.1227011414937737334e-72"),
+        ],
+    )
+    def test_quadrature_residuals(self, formula_id, residual):
+        # set A at n_max 6: round-off-level gaps, so a change of working
+        # precision inside the quadrature shows here, under the check's name
+        ctx = RunContext.of(small_config(n_max=6))
+        (check,) = [c for c in CHECKS if c.formula_id == formula_id]
+        with ctx.workdps():
+            assert check.entry(ctx).residual == residual
+
     @pytest.mark.parametrize("n_max", [0, 1])
     def test_small_n_max(self, n_max):
         text, code = cmd_audit(small_config(n_max=n_max, output_format="csv"))
@@ -284,6 +299,14 @@ class TestVerifyCommand:
         argv = ["verify", "--params", config_file, "--property", prop, "--variant", "literal"]
         assert main(argv + ["--n-max", "8"]) == 1
         assert capsys.readouterr().out == LITERAL_FAIL_LINES[prop] + "\n"
+
+    @pytest.mark.parametrize("prop", [p for p in VERIFY_LINES if p not in LITERAL_FAIL_LINES])
+    def test_variant_rejected_where_undefined(self, config_file, capsys, prop):
+        argv = ["verify", "--params", config_file, "--property", prop, "--variant", "literal"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p3 and scaling" in captured.err
 
     def test_broken_route_fails_naming_formula_id(self, config_file, capsys, monkeypatch):
         from degenkraw import polys

@@ -19,6 +19,8 @@ from degenkraw.measure import (
 )
 from degenkraw.series import TSeries
 
+from conftest import SET_C
+
 
 def mpf10(e):
     return mpmath.mpf(10) ** e
@@ -133,8 +135,21 @@ class TestCanonicalPmf:
     def test_mixture_quadrature_oracle(self, params):
         model = MeasureModel(params)
         with mp.workdps(70):
-            for n in range(11):
-                assert abs(model.mixture_pmf(n) - model.pmf(n)) < mpf10(-15)
+            for n, mass in zip(range(11), model.mixture_pmfs(range(11))):
+                assert abs(mass - model.pmf(n)) < mpf10(-15)
+
+    def test_mixture_batch_is_bit_identical(self):
+        # the per-node table shared by a batch changes no bit of any mass,
+        # whatever order the masses are asked for in
+        model = MeasureModel(SET_C, 40)
+        ns = list(range(0, 11, 2))
+        single = [model.mixture_pmf(n)._mpf_ for n in ns]
+        assert [m._mpf_ for m in model.mixture_pmfs(ns)] == single
+        assert [m._mpf_ for m in model.mixture_pmfs(ns[::-1])] == single[::-1]
+
+    def test_mixture_batch_rejects_negative_n(self, set_a):
+        with pytest.raises(ValueError):
+            MeasureModel(set_a).mixture_pmfs([-1])
 
 
 class TestLiteralPmf:
