@@ -1,16 +1,22 @@
 """Exact combinatorial kernels.
 
-Stirling numbers of both kinds, partial Bell polynomials, ordered integer
-compositions, degenerate falling factorials, and the named coefficient
-families that drive the polynomial identities: eta (log-quotient Taylor
-numbers), kappa (its inverse series), epsilon (coefficients of
-((1+t)/(1+qt))^x), the bracket factorials [y]_n, varpi / varrho
-(composition sums for the two basis changes), and the two variants of the
-scaling weights rho.
+Stirling numbers of both kinds, partial Bell polynomials, degenerate
+falling factorials, and the named coefficient families that drive the
+polynomial identities: eta (log-quotient Taylor numbers), kappa (its
+inverse series), epsilon (coefficients of ((1+t)/(1+qt))^x), the bracket
+factorials [y]_n, varpi / varrho (the weights of the two basis changes),
+and the two variants of the scaling weights rho.
 
 The canonical definition of every coefficient family is its generating
-series; closed composition forms are evaluated separately so the audit can
-compare them.
+series.  One core computes them: the exponential Riordan array [1, X] of a
+series X(z) = sum_j x_j z^j / j!, whose entry (n, k) is n! [z^n] X^k / k!,
+the partial Bell polynomial B_{n,k}(x_1, x_2, ...).  varpi, varrho and
+bell_partial read it for X = theta, zeta and an argument vector, and every
+table grows on demand in time polynomial in n.  The composition and
+partition sums (``compositions``, ``bell_partial_by_partitions`` and the
+``*_by_compositions`` forms) take time that grows exponentially in n; they
+are test oracles, the independent reference the tests hold the tables to,
+and neither the routes nor the audit call them.
 """
 
 from __future__ import annotations
@@ -19,54 +25,60 @@ import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .series import (
-    TSeries,
-    XPoly,
-    as_fraction,
-    expm1_series,
-    falling_factorial,
-    gen_binomial,
-    log1p_scaled_series,
-)
+from .series import TSeries, XPoly, as_fraction, expm1_series, gen_binomial, log1p_scaled_series
 
-_DEFAULT_ORDER = 16
+# Tables of each kind (one per q, or per Bell argument vector) kept at
+# once; each holds every row grown so far.
+_TABLES = 32
+
+
+class GrowingTable:
+    """Entries t[0], t[1], ... of a table whose next entry is a function of
+    the entries before it.  Each entry is computed once, in order, and kept.
+
+    Growth holds a lock, so concurrent readers see exactly the entries a
+    sequential reader would.
+    """
+
+    __slots__ = ("_next", "_entries", "_lock")
+
+    def __init__(self, next_entry: Callable[[list], object]):
+        self._next = next_entry
+        self._entries: list = []
+        self._lock = threading.Lock()
+
+    def __getitem__(self, n: int):
+        if len(self._entries) <= n:
+            with self._lock:
+                while len(self._entries) <= n:
+                    self._entries.append(self._next(self._entries))
+        return self._entries[n]
 
 
 # ---------------------------------------------------------------------------
 # Stirling numbers (triangular tables, grown on demand)
 # ---------------------------------------------------------------------------
 
-_S2_ROWS: list[tuple[int, ...]] = [(1,)]
-_C1_ROWS: list[tuple[int, ...]] = [(1,)]
-_TABLE_LOCK = threading.Lock()  # extension must look sequential to concurrent callers
+def _stirling_rows(weight: Callable[[int, int], int]) -> GrowingTable:
+    """Rows of T(m, k) = T(m-1, k-1) + weight(m, k) T(m-1, k) with T(0, 0) = 1."""
+
+    def next_row(rows):
+        m = len(rows)
+        if m == 0:
+            return (1,)
+        prev = rows[m - 1]
+        row = [0] * (m + 1)
+        for k in range(1, m + 1):
+            row[k] = prev[k - 1] + (weight(m, k) * prev[k] if k < m else 0)
+        return tuple(row)
+
+    return GrowingTable(next_row)
 
 
-def _stirling2_row(n: int) -> tuple[int, ...]:
-    if len(_S2_ROWS) <= n:
-        with _TABLE_LOCK:
-            while len(_S2_ROWS) <= n:
-                m = len(_S2_ROWS)
-                prev = _S2_ROWS[m - 1]
-                row = [0] * (m + 1)
-                for k in range(1, m + 1):
-                    row[k] = (prev[k - 1] if k - 1 < m else 0) + k * (prev[k] if k < m else 0)
-                _S2_ROWS.append(tuple(row))
-    return _S2_ROWS[n]
-
-
-def _stirling1_unsigned_row(n: int) -> tuple[int, ...]:
-    if len(_C1_ROWS) <= n:
-        with _TABLE_LOCK:
-            while len(_C1_ROWS) <= n:
-                m = len(_C1_ROWS)
-                prev = _C1_ROWS[m - 1]
-                row = [0] * (m + 1)
-                for k in range(1, m + 1):
-                    row[k] = (prev[k - 1] if k - 1 < m else 0) + (m - 1) * (prev[k] if k < m else 0)
-                _C1_ROWS.append(tuple(row))
-    return _C1_ROWS[n]
+_S2_ROWS = _stirling_rows(lambda m, k: k)
+_C1_ROWS = _stirling_rows(lambda m, k: m - 1)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -78,7 +90,7 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError("Stirling arguments must be nonnegative")
     if k > n:
         return 0
-    return _stirling2_row(n)[k]
+    return _S2_ROWS[n][k]
 
 
 def stirling1_unsigned(n: int, k: int) -> int:
@@ -87,7 +99,7 @@ def stirling1_unsigned(n: int, k: int) -> int:
         raise ValueError("Stirling arguments must be nonnegative")
     if k > n:
         return 0
-    return _stirling1_unsigned_row(n)[k]
+    return _C1_ROWS[n][k]
 
 
 def stirling1(n: int, k: int) -> int:
@@ -145,13 +157,13 @@ def _bell_multiplicities(n: int, k: int) -> Iterator[tuple[tuple[int, int], ...]
     yield from rec(n, k, n - k + 1 if k else 0)
 
 
-def bell_partial(n: int, k: int, xs: Sequence):
-    """Partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}).
+def bell_partial_by_partitions(n: int, k: int, xs: Sequence):
+    """B_{n,k}(x_1, ..., x_{n-k+1}) summed over integer partitions, the
+    reference form the tests hold ``bell_partial`` to.
 
     Sum over nonnegative multiplicities (i_1, ..., i_{n-k+1}) with
     sum i_j = k and sum j*i_j = n of
     n!/(i_1!...i_{n-k+1}!) * prod (x_j/j!)^{i_j}.
-    Arguments may be Fractions, XPoly values or mpmath floats.
     """
     if not 0 <= k <= n:
         raise ValueError("bell_partial requires 0 <= k <= n")
@@ -173,6 +185,77 @@ def bell_partial(n: int, k: int, xs: Sequence):
     return Fraction(0) if total is None else total
 
 
+# ---------------------------------------------------------------------------
+# the exponential Riordan array [1, X]: partial Bell triangles
+# ---------------------------------------------------------------------------
+
+def riordan_triangle(x: Callable[[int], object], size: int | None = None) -> GrowingTable:
+    """Rows of the exponential Riordan array [1, X], X(z) = sum_{j>=1} x(j) z^j / j!.
+
+    Row n holds n! [z^n] X(z)^k / k! = B_{n,k}(x(1), x(2), ...) for
+    k = 0..n, grown by the column recurrence
+    B_{n,k} = sum_{i=1}^{n-k+1} binom(n-1, i-1) x(i) B_{n-i,k-1},
+    so the first N rows cost O(N^3) ring operations.  With `size` only
+    x(1)..x(size) exist; an entry that would need a later argument is None.
+    """
+
+    def next_row(rows):
+        n = len(rows)
+        if n == 0:
+            return (Fraction(1),)
+        known = n if size is None else min(n, size)
+        xs = [None] + [x(i) for i in range(1, known + 1)]
+        row = [Fraction(0)]
+        for k in range(1, n + 1):
+            if n - k + 1 > known:
+                row.append(None)
+                continue
+            acc = None
+            for i in range(1, n - k + 2):
+                term = math.comb(n - 1, i - 1) * xs[i] * rows[n - i][k - 1]
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        return tuple(row)
+
+    return GrowingTable(next_row)
+
+
+@lru_cache(maxsize=_TABLES)
+def _exact_bell_triangle(xs: tuple, kinds: tuple) -> GrowingTable:
+    # `kinds` keeps equal vectors of different coefficient types apart
+    return riordan_triangle(lambda j: xs[j - 1], len(xs))
+
+
+def bell_triangle(xs: Sequence) -> GrowingTable:
+    """The partial Bell triangle of one argument vector: row n holds
+    B_{n,k}(xs) for k = 0..n.
+
+    Exact vectors (ints, Fractions, XPoly values) share a cached table.
+    Other values, such as mpmath floats, get a table of their own: its
+    entries depend on the working precision in force while it grows.
+    """
+    xs = tuple(xs)
+    kinds = tuple(map(type, xs))
+    if all(issubclass(t, (int, Fraction, XPoly)) for t in kinds):
+        return _exact_bell_triangle(xs, kinds)
+    return riordan_triangle(lambda j: xs[j - 1], len(xs))
+
+
+def bell_partial(n: int, k: int, xs: Sequence):
+    """Partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}), read from the
+    triangle of `xs` (see ``bell_triangle``).
+
+    Arguments may be Fractions, XPoly values or mpmath floats.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("bell_partial requires 0 <= k <= n")
+    if k == 0:
+        return Fraction(1) if n == 0 else Fraction(0)
+    if len(xs) < n - k + 1:
+        raise ValueError(f"bell_partial needs {n - k + 1} arguments, got {len(xs)}")
+    return bell_triangle(xs)[n][k]
+
+
 def faa_derivative(outer_derivs: Sequence, inner_derivs: Sequence, n: int):
     """n-th derivative of a composition phi(psi(t)) at a point.
 
@@ -186,10 +269,10 @@ def faa_derivative(outer_derivs: Sequence, inner_derivs: Sequence, n: int):
         raise ValueError("need outer derivatives through order n")
     if n >= 1 and len(inner_derivs) < n + 1:
         raise ValueError("need inner derivatives through order n")
+    row = bell_triangle(inner_derivs[1:])[n]
     total = None
     for k in range(n + 1):
-        b = bell_partial(n, k, inner_derivs[1:])
-        term = outer_derivs[k] * b
+        term = outer_derivs[k] * row[k]
         total = term if total is None else total + term
     return total
 
@@ -233,18 +316,57 @@ def zeta_series(q: Fraction, order: int) -> TSeries:
     return (w * denom.reciprocal()) * (Fraction(1) / p)
 
 
-@lru_cache(maxsize=None)
-def omega_power_series(q: Fraction, order: int) -> TSeries:
-    """Series of ((1+t)/(1+qt))^x with XPoly coefficients (exact in x).
+def _prefix_products(factor: Callable[[int], XPoly]) -> GrowingTable:
+    """1, factor(1), factor(1) factor(2), ...: running products of polynomials in x."""
+    return GrowingTable(lambda done: done[-1] * factor(len(done)) if done else XPoly.const(1))
 
-    Computed as the Cauchy product of (1+t)^x and (1+qt)^{-x}, whose
-    coefficients are generalized binomials in x.
-    """
-    q = as_fraction(q)
-    x = XPoly.x()
-    a = TSeries([gen_binomial(x, n) for n in range(order + 1)], order)
-    b = TSeries([gen_binomial(-x, n) * q**n for n in range(order + 1)], order)
-    return a * b
+
+_X = XPoly.x()
+# binom(x, n) and binom(-x, n): the coefficients of (1+t)^x and (1+t)^(-x)
+_BINOM_X = _prefix_products(lambda n: (_X - (n - 1)) / n)
+_BINOM_NEG_X = _prefix_products(lambda n: (-_X - (n - 1)) / n)
+# the falling factorials (y)_n and (-y)_n of the bracket factorials
+_FALLING_Y = _prefix_products(lambda n: _X - (n - 1))
+_FALLING_NEG_Y = _prefix_products(lambda n: -_X - (n - 1))
+
+
+@lru_cache(maxsize=_TABLES)
+def _omega_coeffs(q: Fraction) -> GrowingTable:
+    """epsilon_0(x), epsilon_1(x), ...: the coefficients of ((1+t)/(1+qt))^x,
+    each the Cauchy-product coefficient of (1+t)^x and (1+qt)^{-x}."""
+
+    def next_coeff(done):
+        k = len(done)
+        total = None
+        for j in range(k + 1):
+            term = _BINOM_X[k - j] * (_BINOM_NEG_X[j] * q**j)
+            total = term if total is None else total + term
+        return total
+
+    return GrowingTable(next_coeff)
+
+
+def omega_power_series(q: Fraction, order: int) -> TSeries:
+    """Series of ((1+t)/(1+qt))^x with XPoly coefficients (exact in x),
+    read from the one coefficient table per q that ``epsilon`` reads too."""
+    coeffs = _omega_coeffs(as_fraction(q))
+    return TSeries([coeffs[k] for k in range(order + 1)], order)
+
+
+@lru_cache(maxsize=_TABLES)
+def _kappa_table(q: Fraction) -> GrowingTable:
+    """kappa_0, kappa_1, ... from (p - q w) zeta = w with w = e^z - 1, whose
+    coefficients n! [z^n] w are 1 for n >= 1:
+    kappa_n = (1 + q sum_{i=1}^{n-1} binom(n,i) kappa_{n-i}) / p."""
+    p = 1 - q
+
+    def next_kappa(done):
+        n = len(done)
+        if n == 0:
+            return Fraction(0)
+        return (1 + q * sum(math.comb(n, i) * done[n - i] for i in range(1, n))) / p
+
+    return GrowingTable(next_kappa)
 
 
 def eta(k: int, q) -> Fraction:
@@ -262,18 +384,14 @@ def kappa(k: int, q) -> Fraction:
     """Taylor numbers of (e^z - 1)/(1 - q e^z): kappa_k = k! [z^k] zeta(z)."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    q = as_fraction(q)
-    series = zeta_series(q, max(k, _DEFAULT_ORDER))
-    return math.factorial(k) * series.coeff(k)
+    return _kappa_table(as_fraction(q))[k]
 
 
 def epsilon(k: int, q) -> XPoly:
     """Coefficient of t^k in ((1+t)/(1+qt))^x, as an exact polynomial in x."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    q = as_fraction(q)
-    c = omega_power_series(q, max(k, _DEFAULT_ORDER)).coeff(k)
-    return c if isinstance(c, XPoly) else XPoly.const(c)
+    return _omega_coeffs(as_fraction(q))[k]
 
 
 def epsilon_closed(k: int, q, variant: str = "derived") -> XPoly:
@@ -304,27 +422,81 @@ def bracket_y(n: int, q) -> XPoly:
     if n < 0:
         raise ValueError("index must be nonnegative")
     q = as_fraction(q)
-    y = XPoly.x()
     total = XPoly()
     for k in range(n + 1):
-        total = total + (
-            math.comb(n, k) * q**k * falling_factorial(y, n - k) * falling_factorial(-y, k)
-        )
+        total = total + math.comb(n, k) * q**k * _FALLING_Y[n - k] * _FALLING_NEG_Y[k]
     return total
 
 
 # ---------------------------------------------------------------------------
-# composition-sum coefficient families
+# basis-change and scaling weights
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
+def theta_triangle(q: Fraction) -> GrowingTable:
+    """Exponential Riordan array [1, theta]: row n holds n! [z^n] theta^k / k!
+    = B_{n,k}(eta_1, eta_2, ...) for k = 0..n."""
+    return riordan_triangle(lambda j: eta(j, q))
+
+
+@lru_cache(maxsize=_TABLES)
+def zeta_triangle(q: Fraction) -> GrowingTable:
+    """Exponential Riordan array [1, zeta]: row n holds n! [z^n] zeta^k / k!
+    = B_{n,k}(kappa_1, kappa_2, ...) for k = 0..n."""
+    return riordan_triangle(_kappa_table(q).__getitem__)
+
+
 def varpi(m: int, n: int, q) -> Fraction:
     """Basis-change weight from the Appell companions to the main family.
 
-    varpi(m, n) = sum over compositions i_1+...+i_m = n of
-    (-1)^{n+m} n! prod (1 - q^{i_j}) / i_j, with varpi(0,0) = 1 and
-    varpi(0,n) = 0 for n >= 1.  Equals n! [z^n] theta(z)^m.
+    varpi(m, n) = n! [z^n] theta(z)^m, read from ``theta_triangle``;
+    varpi(0,0) = 1 and varpi(0,n) = 0 for n >= 1.  Equals the composition
+    sum ``varpi_by_compositions``.
     """
+    if m < 0 or n < 0 or m > n:
+        raise ValueError("varpi requires 0 <= m <= n")
+    return math.factorial(m) * theta_triangle(as_fraction(q))[n][m]
+
+
+def varrho(m: int, k: int, q) -> Fraction:
+    """Basis-change weight from the main family back to the companions.
+
+    varrho(m, k) = k! [z^k] zeta(z)^m, read from ``zeta_triangle``;
+    varrho(0,0) = 1 and varrho(0,k) = 0 for k >= 1.  Equals the composition
+    sum ``varrho_by_compositions``.
+    """
+    if m < 0 or k < 0 or m > k:
+        raise ValueError("varrho requires 0 <= m <= k")
+    return math.factorial(m) * zeta_triangle(as_fraction(q))[k][m]
+
+
+def rho_scaling(m: int, k: int, q, r, variant: str = "corrected") -> Fraction:
+    """Scaling-expansion weight rho(m, k), in the literal and corrected variants.
+
+    Both share k! [t^k] log(1+t)^m = m! s(k, m) (signed Stirling numbers of
+    the first kind).  The corrected variant q^k r^m m! s(k, m) equals
+    k! [t^k] (r log(1+qt))^m and is what the scaling identity requires; the
+    literal variant q^m m! s(k, m) is kept for the audit.  Both equal their
+    composition sums (``rho_by_compositions``).
+    """
+    if variant not in ("literal", "corrected"):
+        raise ValueError(f"unknown rho variant {variant!r}")
+    if m < 0 or k < 0 or m > k:
+        raise ValueError("rho requires 0 <= m <= k")
+    q, r = as_fraction(q), as_fraction(r)
+    weight = math.factorial(m) * stirling1(k, m)
+    if variant == "corrected":
+        return weight * q**k * r**m
+    return weight * q**m
+
+
+# ---------------------------------------------------------------------------
+# composition sums: the reference forms of varpi, varrho and rho
+# ---------------------------------------------------------------------------
+
+def varpi_by_compositions(m: int, n: int, q) -> Fraction:
+    """sum over compositions i_1+...+i_m = n of
+    (-1)^{n+m} n! prod (1 - q^{i_j}) / i_j; the reference form of ``varpi``."""
     if m < 0 or n < 0 or m > n:
         raise ValueError("varpi requires 0 <= m <= n")
     q = as_fraction(q)
@@ -340,38 +512,27 @@ def varpi(m: int, n: int, q) -> Fraction:
     return sign * total
 
 
-@lru_cache(maxsize=None)
-def varrho(m: int, k: int, q) -> Fraction:
-    """Basis-change weight from the main family back to the companions.
-
-    varrho(m, k) = sum over compositions i_1+...+i_m = k of
-    k!/(i_1!...i_m!) prod kappa_{i_j}, with varrho(0,0) = 1 and
-    varrho(0,k) = 0 for k >= 1.  Equals k! [z^k] zeta(z)^m.
-    """
+def varrho_by_compositions(m: int, k: int, q) -> Fraction:
+    """sum over compositions i_1+...+i_m = k of
+    k!/(i_1!...i_m!) prod kappa_{i_j}; the reference form of ``varrho``."""
     if m < 0 or k < 0 or m > k:
         raise ValueError("varrho requires 0 <= m <= k")
     q = as_fraction(q)
     if m == 0:
         return Fraction(1 if k == 0 else 0)
-    kfact = math.factorial(k)
     total = Fraction(0)
     for comp in compositions(k, m):
         prod = Fraction(1)
         for i in comp:
             prod *= kappa(i, q) / math.factorial(i)
         total += prod
-    return kfact * total
+    return math.factorial(k) * total
 
 
-@lru_cache(maxsize=None)
-def rho_scaling(m: int, k: int, q, r, variant: str = "corrected") -> Fraction:
-    """Scaling-expansion weight rho(m, k), in the literal and corrected variants.
-
-    Both share the composition sum T = k! * sum over l_1+...+l_m = k of
-    prod 1/l_i.  The corrected variant (-1)^{k+m} q^k r^m T equals
-    k! [t^k] (r log(1+qt))^m and is what the scaling identity requires;
-    the literal variant (-1)^{k+m} q^m T is kept for the audit.
-    """
+def rho_by_compositions(m: int, k: int, q, r, variant: str = "corrected") -> Fraction:
+    """(-1)^{k+m} T times q^k r^m (corrected) or q^m (literal), where
+    T = k! * sum over l_1+...+l_m = k of prod 1/l_i; the reference form of
+    ``rho_scaling``."""
     if variant not in ("literal", "corrected"):
         raise ValueError(f"unknown rho variant {variant!r}")
     if m < 0 or k < 0 or m > k:

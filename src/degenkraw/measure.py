@@ -416,15 +416,33 @@ class MeasureModel:
 
     def gamma_laplace(self, x):
         """Numeric integral of e^{-s x} against the mixing density."""
+        return self.gamma_laplaces([x])[0]
+
+    def gamma_laplaces(self, xs) -> list:
+        """``gamma_laplace`` at each x of ``xs``.
+
+        The integrals share one interval and one working precision, so they
+        visit the same nodes; the density is kept per node for the length of
+        the call.
+        """
         law = self._mixing_law()
         shape, scale, _ = law
         with self._dps():
-            x = to_mpf(x)
             mean = shape * scale
-            return mpmath.quad(
-                lambda s: mpmath.e ** (-s * x) * self._density(s, law),
-                [0, mean, mpmath.inf],
-            )
+            densities = {}  # s -> density at s
+
+            def density(s):
+                if s not in densities:
+                    densities[s] = self._density(s, law)
+                return densities[s]
+
+            def transform(x):
+                x = to_mpf(x)
+                return mpmath.quad(
+                    lambda s: mpmath.e ** (-s * x) * density(s), [0, mean, mpmath.inf]
+                )
+
+            return [transform(x) for x in xs]
 
     def mixture_pmfs(self, ns) -> list:
         """Canonical masses at each n of ``ns``, reconstructed by quadrature

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import (
-    bell_partial,
+    bell_triangle,
     bracket_y,
     deg_falling,
     epsilon,
@@ -34,7 +34,7 @@ from .combinat import (
     omega_power_series,
     stirling1,
     stirling2,
-    theta_series,
+    theta_triangle,
     varpi,
     varrho,
 )
@@ -147,6 +147,16 @@ def coeff_table(n_max: int, params: Params) -> CoeffTable:
     )
 
 
+def _bell_constants(args, n_max: int) -> list[Fraction]:
+    """A_j = sum_i (-1)^i i! B_{j,i}(args[1], args[2], ...) for j <= n_max,
+    from one partial Bell triangle."""
+    rows = bell_triangle(args[1:])
+    return [
+        sum(Fraction((-1) ** i * math.factorial(i)) * rows[j][i] for i in range(j + 1))
+        for j in range(n_max + 1)
+    ]
+
+
 def _as_xpoly(c) -> XPoly:
     return c if isinstance(c, XPoly) else XPoly.const(c)
 
@@ -217,17 +227,13 @@ def K_bell(params: Params, n_max: int, variant: str = "corrected") -> PolyFamily
         args = mu_coeffs(n_max + 1, params)
     else:
         args = exact_moments(params, n_max + 1)
-    consts = []
-    for j in range(n_max + 1):
-        acc = Fraction(0)
-        for i in range(j + 1):
-            acc += Fraction((-1) ** i * math.factorial(i)) * bell_partial(j, i, args[1:])
-        consts.append(acc)
+    consts = _bell_constants(args, n_max)
+    brackets = [bracket_y(k, params.q) for k in range(n_max + 1)]
     members = []
     for n in range(n_max + 1):
         acc = XPoly()
         for k in range(n + 1):
-            acc = acc + math.comb(n, k) * consts[n - k] * bracket_y(k, params.q)
+            acc = acc + math.comb(n, k) * consts[n - k] * brackets[k]
         members.append(acc)
     return PolyFamily(params, n_max, tuple(members), f"bell-{variant}")
 
@@ -257,20 +263,14 @@ def stirling_transition(n: int, k: int, q, upper: str = "plus") -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
 def theta_power_weights(q: Fraction, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
-    """weights[k][n] = n! [z^n] theta(z)^k / k! for k, n <= n_max, from exact
-    series powers of theta = log((1+z)/(1+qz))."""
-    theta = theta_series(q, n_max)
-    power = TSeries.one(n_max)
-    weights = []
-    for k in range(n_max + 1):
-        weights.append(
-            tuple(math.factorial(n) * power.coeff(n) / math.factorial(k) for n in range(n_max + 1))
-        )
-        if k < n_max:
-            power = power * theta
-    return tuple(weights)
+    """weights[k][n] = n! [z^n] theta(z)^k / k! for k, n <= n_max, read from
+    the exponential Riordan array [1, theta] of ``combinat.theta_triangle``."""
+    rows = theta_triangle(as_fraction(q))
+    return tuple(
+        tuple(rows[n][k] if k <= n else Fraction(0) for n in range(n_max + 1))
+        for k in range(n_max + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -335,13 +335,7 @@ def P_series(params: Params, n_max: int, order: int | None = None) -> PolyFamily
 def P_bell(params: Params, n_max: int) -> PolyFamily:
     """Bell-polynomial route: P_n = sum_k binom(n,k) [sum_i (-1)^i i! B_{n-k,i}(M)] x^k,
     with M the exact moment vector."""
-    moments = exact_moments(params, n_max + 1)
-    consts = []
-    for j in range(n_max + 1):
-        acc = Fraction(0)
-        for i in range(j + 1):
-            acc += Fraction((-1) ** i * math.factorial(i)) * bell_partial(j, i, moments[1:])
-        consts.append(acc)
+    consts = _bell_constants(exact_moments(params, n_max + 1), n_max)
     x = XPoly.x()
     members = []
     for n in range(n_max + 1):

@@ -3,10 +3,13 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
+from mpmath import mp
 
 from degenkraw.combinat import (
     bell_partial,
+    bell_partial_by_partitions,
     bracket_y,
     compositions,
     deg_falling,
@@ -14,17 +17,24 @@ from degenkraw.combinat import (
     epsilon_closed,
     eta,
     kappa,
+    rho_by_compositions,
     rho_scaling,
     stirling1,
     stirling2,
     theta_series,
     varpi,
+    varpi_by_compositions,
     varrho,
+    varrho_by_compositions,
     zeta_series,
 )
 from degenkraw.series import TSeries, XPoly, exp_series, falling_factorial, log1p_scaled_series
 
+from conftest import ALL_SETS
+
 Q = F(2, 5)
+# the q and r of the acceptance sets A, B and C
+SET_QR = [(s.q, s.r) for s in ALL_SETS.values()]
 
 
 def count_set_partitions(n, k):
@@ -50,11 +60,13 @@ def count_set_partitions(n, k):
 class TestConcurrentMemoization:
     def test_tables_consistent_under_threads(self):
         # concurrent growth of the shared triangles must look sequential
+        import sys
         import threading
 
         import degenkraw.combinat as cb
 
         results = {}
+        q = F(5, 13)  # a q no other test uses, so its tables start empty
 
         def worker(tag, fn, n_top):
             results[tag] = [fn(n, k) for n in range(n_top) for k in range(n + 1)]
@@ -63,18 +75,30 @@ class TestConcurrentMemoization:
             threading.Thread(target=worker, args=(f"s2-{i}", stirling2, 60)) for i in range(4)
         ] + [
             threading.Thread(target=worker, args=(f"s1-{i}", stirling1, 60)) for i in range(4)
+        ] + [
+            threading.Thread(target=worker, args=(f"vp-{i}", lambda n, k: varpi(k, n, q), 16))
+            for i in range(4)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         seq2 = [count_set_partitions(n, k) for n in range(7) for k in range(n + 1)]
         assert results["s2-0"][: len(seq2)] == seq2
         for i in range(1, 4):
             assert results[f"s2-{i}"] == results["s2-0"]
             assert results[f"s1-{i}"] == results["s1-0"]
+            assert results[f"vp-{i}"] == results["vp-0"]
         # the shared tables themselves stayed coherent
         assert cb.stirling2(59, 58) == math.comb(59, 2)
+        assert results["vp-0"][-1] == varpi_by_compositions(15, 15, q)
+        assert results["vp-0"][-2] == varpi_by_compositions(14, 15, q)
 
 
 class TestStirling:
@@ -188,6 +212,32 @@ class TestBell:
         with pytest.raises(ValueError):
             bell_partial(4, 2, [F(1)])
 
+    def test_triangle_matches_partition_sum(self):
+        # the Riordan-triangle values against the partition enumeration,
+        # for rational and for polynomial arguments
+        rationals = [F(i * i - 3, 2 * i + 1) for i in range(1, 12)]
+        polys = [XPoly((F(i), F(-1, i + 1), F(i, 3))) for i in range(1, 12)]
+        for xs in (rationals, polys):
+            for n in range(11):
+                for k in range(n + 1):
+                    got = bell_partial(n, k, xs)
+                    want = bell_partial_by_partitions(n, k, xs)
+                    assert got == want and type(got) is type(want)
+
+    def test_real_arguments_follow_the_working_precision(self):
+        # no triangle of mpf values is cached: the same arguments at a
+        # higher precision give a value exact to that precision
+        with mp.workdps(60):
+            xs = [mpmath.mpf(1) / (i + 2) for i in range(9)]
+            exact = bell_partial_by_partitions(9, 3, [F(1, i + 2) for i in range(9)])
+            exact = mpmath.mpf(exact.numerator) / exact.denominator
+        with mp.workdps(15):
+            low = bell_partial(9, 3, xs)
+        with mp.workdps(60):
+            high = bell_partial(9, 3, xs)
+            assert abs(high - exact) < mpmath.mpf(10) ** -55
+            assert abs(low - exact) > mpmath.mpf(10) ** -55
+
 
 class TestDegFalling:
     def test_frozen_values(self):
@@ -218,6 +268,12 @@ class TestCoefficientFamilies:
         assert kappa(0, Q) == 0
         assert kappa(1, Q) == 1 / (1 - Q)  # zeta'(0) by the quotient rule
 
+    def test_kappa_matches_series(self):
+        for q, _ in SET_QR:
+            ze = zeta_series(q, 24)
+            for k in range(25):
+                assert kappa(k, q) == math.factorial(k) * ze.coeff(k)
+
     def test_inverse_pair_order_12(self):
         for q in (F(1, 2), Q):
             th, ze = theta_series(q, 12), zeta_series(q, 12)
@@ -237,7 +293,7 @@ class TestCoefficientFamilies:
             assert epsilon(k, Q)(F(0)) == 0
 
     def test_epsilon_closed_forms(self):
-        for k in range(9):
+        for k in range(21):
             assert epsilon_closed(k, Q, "derived") == epsilon(k, Q)
         # the variant with inner index k-j disagrees from k=1 on
         assert epsilon_closed(1, Q, "printed") != epsilon(1, Q)
@@ -264,35 +320,32 @@ class TestCoefficientFamilies:
     def test_varpi(self):
         assert varpi(0, 0, Q) == 1
         assert varpi(1, 1, Q) == 1 - Q
-        th = theta_series(Q, 8)
-        power = TSeries.one(8)
-        for m in range(9):
-            for n in range(m, 9):
-                assert varpi(m, n, Q) == math.factorial(n) * power.coeff(n)
-            power = power * th
+        for q, _ in SET_QR:
+            for n in range(11):
+                for m in range(n + 1):
+                    assert varpi(m, n, q) == varpi_by_compositions(m, n, q)
 
     def test_varrho(self):
         assert varrho(0, 0, Q) == 1
         for k in range(1, 9):
             assert varrho(1, k, Q) == kappa(k, Q)
-        ze = zeta_series(Q, 8)
-        power = TSeries.one(8)
-        for m in range(9):
-            for k in range(m, 9):
-                assert varrho(m, k, Q) == math.factorial(k) * power.coeff(k)
-            power = power * ze
+        for q, _ in SET_QR:
+            for k in range(11):
+                for m in range(k + 1):
+                    assert varrho(m, k, q) == varrho_by_compositions(m, k, q)
 
     def test_rho_scaling(self):
         r = F(3)
         assert rho_scaling(0, 0, Q, r, "literal") == 1
         assert rho_scaling(0, 0, Q, r, "corrected") == 1
         assert rho_scaling(1, 1, Q, r, "corrected") == Q * r  # xi'(0) = r q
-        xi = r * log1p_scaled_series(Q, 8)
-        power = TSeries.one(8)
-        for m in range(9):
-            for k in range(m, 9):
-                assert rho_scaling(m, k, Q, r, "corrected") == math.factorial(k) * power.coeff(k)
-            power = power * xi
+        for q, r in SET_QR:
+            for k in range(11):
+                for m in range(k + 1):
+                    for variant in ("corrected", "literal"):
+                        got = rho_scaling(m, k, q, r, variant)
+                        assert got == rho_by_compositions(m, k, q, r, variant)
         # the literal weights drop the r powers and use q^m
+        r = F(3)
         assert rho_scaling(1, 1, Q, r, "literal") == Q
         assert rho_scaling(1, 2, Q, r, "literal") != rho_scaling(1, 2, Q, r, "corrected")

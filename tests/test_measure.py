@@ -270,6 +270,15 @@ class TestMixtureDensity:
                 )
                 assert abs(got - expected) < mpf10(-15)
 
+    def test_laplace_batch_is_bit_identical(self):
+        # the per-node density table shared by a batch changes no bit of
+        # any transform, whatever order the points are asked for in
+        model = MeasureModel(SET_C, 40)
+        xs = [F(1, 2), F(1), F(2)]
+        single = [model.gamma_laplace(x)._mpf_ for x in xs]
+        assert [v._mpf_ for v in model.gamma_laplaces(xs)] == single
+        assert [v._mpf_ for v in model.gamma_laplaces(xs[::-1])] == single[::-1]
+
     def test_domain(self, set_a):
         with pytest.raises(DomainError):
             MeasureModel(set_a).mixture_density(0)

@@ -268,6 +268,42 @@ class TestStirlingTransition:
         )
 
 
+class TestPolynomialCost:
+    def test_canonical_routes_never_enumerate(self, monkeypatch):
+        # the composition and partition sums are test oracles only: with
+        # both enumerators disabled, every canonical route still builds.
+        # A point no other test uses keeps every cache cold.
+        import degenkraw.combinat as cb
+        from degenkraw.operators import scaled_member
+
+        def disabled(*args):
+            raise AssertionError("a canonical route enumerated compositions or partitions")
+
+        monkeypatch.setattr(cb, "compositions", disabled)
+        monkeypatch.setattr(cb, "_bell_multiplicities", disabled)
+        with pytest.raises(AssertionError):
+            cb.varpi_by_compositions(2, 3, F(1, 3))
+        params = Params.make("-2/3", "3/2", "5/9", "4/3")
+        n_max = 12
+        k_base, p_base = K_series(params, n_max), P_series(params, n_max)
+        for route in K_ROUTES + P_ROUTES:
+            if route.endswith("literal"):
+                continue
+            base = p_base if route.startswith("p-") else k_base
+            assert family(params, n_max, route).members == base.members, route
+        for n in range(n_max + 1):
+            assert scaled_member(n, F(2), params) == k_base[n].scale_arg(F(2))
+
+    def test_routes_agree_at_n_max_24(self, set_a):
+        # the basis changes and Bell routes at an n_max their composition
+        # and partition sums could not reach in test time
+        n_max = 24
+        k_base, p_base = K_series(set_a, n_max), P_series(set_a, n_max)
+        for route in ("from-p", "bell-corrected", "epsilon"):
+            assert family(set_a, n_max, route).members == k_base.members, route
+        assert family(set_a, n_max, "p-from-k").members == p_base.members
+
+
 class TestClassicalFamily:
     def test_low_members(self):
         p, r = F(3, 5), F(3)
