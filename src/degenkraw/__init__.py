@@ -1,5 +1,10 @@
 """Exact arithmetic for the degenerate Pascal measure and its
-Krawtchouk-Appell polynomial families."""
+Krawtchouk-Appell polynomial families.
+
+Importing the package loads only the exact modules.  The names backed by
+mpmath (``measure``) or numpy (``sampling``) are imported on first access
+(PEP 562), so exact work never pays for the floating-point libraries.
+"""
 
 from .combinat import (
     bell_partial,
@@ -17,16 +22,14 @@ from .combinat import (
     varpi,
     varrho,
 )
-from .config import Config, ConfigError, load_config
-from .measure import (
-    DomainError,
-    MeasureModel,
+from .config import (
+    Config,
+    ConfigError,
     Params,
-    classical_pmf,
-    deg_exp,
     deg_exp_series,
     exact_moments,
     laplace_series,
+    load_config,
 )
 from .operators import (
     ChaosVector,
@@ -58,9 +61,30 @@ from .polys import (
     mu_coeffs,
     xi_derivs,
 )
-from .sampling import sample, tv_distance
 from .series import NonInvertibleSeries, TSeries, XPoly, XYPoly, gen_binomial
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# name -> submodule that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(
+        ("measure", "DomainError", "MeasureModel", "classical_pmf", "deg_exp"), "measure"
+    ),
+    **dict.fromkeys(("sampling", "sample", "tv_distance"), "sampling"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
+
+__all__ = sorted(name for name in __dir__() if not name.startswith("_"))

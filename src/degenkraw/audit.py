@@ -29,8 +29,8 @@ import mpmath
 from mpmath import mp
 
 from .combinat import epsilon, epsilon_closed
-from .config import Config, ConfigError
-from .measure import MeasureModel, Params, to_mpf
+from .config import PROPERTIES, VARIANT_PROPERTIES, Config, ConfigError, Params
+from .measure import MeasureModel, to_mpf
 from .operators import (
     ChaosVector,
     scale_expansion,
@@ -615,7 +615,7 @@ def _verify_translation(c: RunContext, variant: str):
 
 
 # property -> runner(ctx, variant) returning (passed, detail); only the
-# VARIANT_PROPERTIES read the variant
+# VARIANT_PROPERTIES (declared in config) read the variant
 VERIFY = {
     "p1": _audit_property(
         ("p1-basis-change",), lambda c: f"exact member equality through n={c.n_max}"
@@ -637,8 +637,12 @@ VERIFY = {
     "scaling": _verify_scaling,
     "translation": _verify_translation,
 }
-PROPERTIES = tuple(VERIFY)
-VARIANT_PROPERTIES = ("p3", "scaling")
+# the CLI takes its --property choices from config without importing this
+# module; the two lists must name the same properties in the same order
+if tuple(VERIFY) != PROPERTIES:
+    raise ImportError(
+        f"audit.VERIFY names {tuple(VERIFY)}, config.PROPERTIES names {PROPERTIES}"
+    )
 
 
 def verify_property(config: Config, prop: str, variant: str = "corrected"):

@@ -11,6 +11,10 @@ Outputs are deterministic: the same config produces byte-identical text.
 Rationals print as "num/den" in lowest terms; floating columns carry a
 fixed digit count.  Invalid configuration exits with code 2; a failing
 canonical audit entry exits with code 1.
+
+Each subcommand imports what it runs inside its ``cmd_*`` function, so
+``polys`` loads neither mpmath, numpy nor the audit, and only ``sample``
+loads numpy.
 """
 
 from __future__ import annotations
@@ -22,14 +26,8 @@ import json
 import math
 import sys
 
-import mpmath
-from mpmath import mp
-
-from .audit import PROPERTIES, run_audit, verify_property
-from .config import Config, ConfigError, load_config
-from .measure import MeasureModel, to_mpf
+from .config import PROPERTIES, Config, ConfigError, load_config
 from .polys import K_ROUTES, P_ROUTES, family
-from .sampling import histogram, sample, tv_distance
 
 _ALL_ROUTES = K_ROUTES + P_ROUTES + ("classical",)
 
@@ -115,6 +113,8 @@ def _render(config: Config, command: str, rows: list[dict], summary: dict | None
 
 
 def _real_str(x, digits: int = 25) -> str:
+    import mpmath
+
     return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
 
 
@@ -139,6 +139,10 @@ def cmd_polys(config: Config, route: str) -> str:
 def cmd_moments(config: Config, m_max: int) -> str:
     if m_max < 0:
         raise ConfigError("m_max must be nonnegative")
+    from mpmath import mp
+
+    from .measure import MeasureModel, to_mpf
+
     model = MeasureModel(config.params, config.precision_digits)
     with mp.workdps(config.precision_digits + 10):
         sums, cutoff = model.truncated_moment_sums(m_max)
@@ -162,6 +166,9 @@ def cmd_moments(config: Config, m_max: int) -> str:
 def cmd_sample(config: Config, count: int) -> str:
     if count < 1:
         raise ConfigError("count must be positive")
+    from .measure import MeasureModel
+    from .sampling import histogram, sample, tv_distance
+
     model = MeasureModel(config.params, config.precision_digits)
     draws = sample(count, config.seed, model)
     counts = histogram(draws)
@@ -198,6 +205,8 @@ def cmd_sample(config: Config, count: int) -> str:
 
 
 def cmd_audit(config: Config) -> tuple[str, int]:
+    from .audit import run_audit
+
     report = run_audit(config)
     rows = report.to_rows()
     summary = {
@@ -211,6 +220,8 @@ def cmd_audit(config: Config) -> tuple[str, int]:
 
 
 def cmd_verify(config: Config, prop: str, variant: str) -> tuple[str, int]:
+    from .audit import verify_property
+
     passed, detail = verify_property(config, prop, variant)
     return f"{prop}: {'PASS' if passed else 'FAIL'} ({detail})\n", 0 if passed else 1
 

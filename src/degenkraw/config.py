@@ -7,21 +7,97 @@ The file carries the model parameters as exact fraction strings, e.g.
      "seed": 42, "output_format": "json"}
 
 q is derived as 1 - p.  Flags override file values field by field.
+
+The module also holds the exact side of the model, which needs no
+floating point: the parameters (``Params``), the exact Taylor series of
+the measure's Laplace transform and the moments read from it.  The
+mpmath-backed measure lives in ``measure``, which re-exports these names.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .measure import Params
-from .series import as_fraction
+from .series import TSeries, as_fraction, expm1_series
 
 
 class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
 
+
+# the properties ``verify --property`` accepts, in the order of
+# ``audit.VERIFY``; only the VARIANT_PROPERTIES have a literal variant
+PROPERTIES = ("p1", "p2", "p3", "p4", "cross", "normalization", "limit", "scaling", "translation")
+VARIANT_PROPERTIES = ("p3", "scaling")
+
+
+@dataclass(frozen=True)
+class Params:
+    """Model parameters; all exact rationals.
+
+    Invariants: lam < 0, beta > 0, 0 < p < 1, q = 1 - p, r > 0.  Under
+    these, 1 + lam*r*log(p) > 1 automatically (lam and log p are both
+    negative).
+    """
+
+    lam: Fraction
+    beta: Fraction
+    p: Fraction
+    q: Fraction
+    r: Fraction
+
+    @classmethod
+    def make(cls, lam, beta, p, r) -> "Params":
+        lam, beta, p, r = map(as_fraction, (lam, beta, p, r))
+        return cls(lam=lam, beta=beta, p=p, q=1 - p, r=r)
+
+    def __post_init__(self):
+        if not self.lam < 0:
+            raise ValueError("lambda must be negative")
+        if not self.beta > 0:
+            raise ValueError("beta must be positive")
+        if not 0 < self.p < 1:
+            raise ValueError("p must lie in (0, 1)")
+        if self.q != 1 - self.p:
+            raise ValueError("q must equal 1 - p")
+        if not self.r > 0:
+            raise ValueError("r must be positive")
+
+
+# ---------------------------------------------------------------------------
+# exact Laplace-transform series and moments
+# ---------------------------------------------------------------------------
+
+def deg_exp_series(u: TSeries, params: Params) -> TSeries:
+    """(1 + lam*u(t))^(beta/lam) as an exact series; u must have zero constant term."""
+    if not u.coeff(0) == 0:
+        raise ValueError("series argument must vanish at 0")
+    return (params.lam * u + 1).fracpow(params.beta / params.lam)
+
+
+def laplace_series(params: Params, order: int) -> TSeries:
+    """Exact Taylor series in z of the measure's Laplace transform.
+
+    Uses r*log(p/(1 - q*e^z)) = -r*log(1 - (q/p)(e^z - 1)), whose inner
+    series has rational coefficients and zero constant term.
+    """
+    v = (params.q / params.p) * expm1_series(order)
+    arg = -params.r * (TSeries.one(order) - v).log1()
+    return deg_exp_series(arg, params)
+
+
+def exact_moments(params: Params, m_max: int) -> list[Fraction]:
+    """Moments 0..m_max of the measure, as exact rationals (m! times series coefficients)."""
+    series = laplace_series(params, m_max)
+    return [math.factorial(m) * series.coeff(m) for m in range(m_max + 1)]
+
+
+# ---------------------------------------------------------------------------
+# run configuration
+# ---------------------------------------------------------------------------
 
 _DEFAULTS = {
     "lambda": "-1/2",

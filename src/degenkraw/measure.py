@@ -14,7 +14,9 @@ measure its deviation.
 
 Everything transcendental runs in mpmath at a configurable number of
 decimal digits; the Laplace-transform Taylor series, and hence every
-moment, is exactly rational and is computed over Fraction.
+moment, is exactly rational and is computed over Fraction (``Params``
+and the exact series live in ``config``, which does not import mpmath,
+and are re-exported here).
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import mpmath
 from mpmath import mp
 
 from .combinat import deg_falling, stirling1_unsigned, stirling2
-from .series import TSeries, as_fraction, expm1_series, gen_binomial
+# the exact side of the model lives in config, free of mpmath; re-exported here
+from .config import Params, deg_exp_series, exact_moments, laplace_series
+from .series import TSeries, as_fraction, gen_binomial
 
 DEFAULT_DIGITS = 60
 _GUARD_DIGITS = 15
@@ -36,39 +40,6 @@ _GUARD_DIGITS = 15
 
 class DomainError(ValueError):
     """Raised when an evaluation point leaves the real domain of a formula."""
-
-
-@dataclass(frozen=True)
-class Params:
-    """Model parameters; all exact rationals.
-
-    Invariants: lam < 0, beta > 0, 0 < p < 1, q = 1 - p, r > 0.  Under
-    these, 1 + lam*r*log(p) > 1 automatically (lam and log p are both
-    negative).
-    """
-
-    lam: Fraction
-    beta: Fraction
-    p: Fraction
-    q: Fraction
-    r: Fraction
-
-    @classmethod
-    def make(cls, lam, beta, p, r) -> "Params":
-        lam, beta, p, r = map(as_fraction, (lam, beta, p, r))
-        return cls(lam=lam, beta=beta, p=p, q=1 - p, r=r)
-
-    def __post_init__(self):
-        if not self.lam < 0:
-            raise ValueError("lambda must be negative")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if not 0 < self.p < 1:
-            raise ValueError("p must lie in (0, 1)")
-        if self.q != 1 - self.p:
-            raise ValueError("q must equal 1 - p")
-        if not self.r > 0:
-            raise ValueError("r must be positive")
 
 
 def to_mpf(x):
@@ -89,13 +60,6 @@ def deg_exp(z, params: Params, digits: int = DEFAULT_DIGITS):
         return mpmath.power(base, to_mpf(params.beta / params.lam))
 
 
-def deg_exp_series(u: TSeries, params: Params) -> TSeries:
-    """(1 + lam*u(t))^(beta/lam) as an exact series; u must have zero constant term."""
-    if not u.coeff(0) == 0:
-        raise ValueError("series argument must vanish at 0")
-    return (params.lam * u + 1).fracpow(params.beta / params.lam)
-
-
 # ---------------------------------------------------------------------------
 # classical Pascal pmf
 # ---------------------------------------------------------------------------
@@ -114,27 +78,6 @@ def classical_pmf(n: int, p, r, digits: int = DEFAULT_DIGITS):
         return p**r.numerator * combinatorial
     with mp.workdps(digits + _GUARD_DIGITS):
         return mpmath.power(to_mpf(p), to_mpf(r)) * to_mpf(combinatorial)
-
-
-# ---------------------------------------------------------------------------
-# exact Laplace-transform series and moments
-# ---------------------------------------------------------------------------
-
-def laplace_series(params: Params, order: int) -> TSeries:
-    """Exact Taylor series in z of the measure's Laplace transform.
-
-    Uses r*log(p/(1 - q*e^z)) = -r*log(1 - (q/p)(e^z - 1)), whose inner
-    series has rational coefficients and zero constant term.
-    """
-    v = (params.q / params.p) * expm1_series(order)
-    arg = -params.r * (TSeries.one(order) - v).log1()
-    return deg_exp_series(arg, params)
-
-
-def exact_moments(params: Params, m_max: int) -> list[Fraction]:
-    """Moments 0..m_max of the measure, as exact rationals (m! times series coefficients)."""
-    series = laplace_series(params, m_max)
-    return [math.factorial(m) * series.coeff(m) for m in range(m_max + 1)]
 
 
 # ---------------------------------------------------------------------------

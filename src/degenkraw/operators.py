@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinat import bracket_y, deg_falling, epsilon, rho_scaling
-from .measure import Params
+from .combinat import _TABLES, bracket_y, deg_falling, epsilon, rho_scaling
+from .config import Params
 from .polys import K_series, P_series
 from .series import XPoly, as_fraction
 
@@ -50,7 +50,7 @@ class ChaosVector:
         return cls.make(Fraction(s) for s in items)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def _basis(params: Params, n_max: int):
     return K_series(params, n_max).members
 

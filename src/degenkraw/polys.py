@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import (
+    _TABLES,
     bell_triangle,
     bracket_y,
     deg_falling,
@@ -38,7 +39,7 @@ from .combinat import (
     varpi,
     varrho,
 )
-from .measure import Params, deg_exp_series, exact_moments, laplace_series
+from .config import Params, deg_exp_series, exact_moments, laplace_series
 from .series import TSeries, XPoly, XYPoly, as_fraction, log1p_scaled_series
 
 K_ROUTES = (
@@ -165,6 +166,9 @@ def _as_xpoly(c) -> XPoly:
 # the K family, five ways
 # ---------------------------------------------------------------------------
 
+# Every route below keeps its families of the last _TABLES argument tuples
+# (parameter point, n_max, ...), as combinat keeps its tables.
+
 def _series_order(n_max: int, order: int | None) -> int:
     """Truncation order with family headroom: defaults to n_max + 2."""
     if order is None:
@@ -174,7 +178,7 @@ def _series_order(n_max: int, order: int | None) -> int:
     return order
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def K_series(params: Params, n_max: int, order: int | None = None) -> PolyFamily:
     """Canonical route: n! times the t^n coefficient of the generating series."""
     order = _series_order(n_max, order)
@@ -183,7 +187,7 @@ def K_series(params: Params, n_max: int, order: int | None = None) -> PolyFamily
     return PolyFamily(params, n_max, members, "series")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def K_epsilon(params: Params, n_max: int) -> PolyFamily:
     """Assembly from the coefficient recurrence:
     K_n = sum_k n!/(n-k)! r^(n-k) c_{n-k} epsilon_k(x)."""
@@ -198,7 +202,7 @@ def K_epsilon(params: Params, n_max: int) -> PolyFamily:
     return PolyFamily(params, n_max, tuple(members), "epsilon")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def K_from_P(params: Params, n_max: int) -> PolyFamily:
     """Basis change from the Appell companions: K_n = sum_m varpi(m,n)/m! P_m."""
     p_fam = P_series(params, n_max)
@@ -211,7 +215,7 @@ def K_from_P(params: Params, n_max: int) -> PolyFamily:
     return PolyFamily(params, n_max, tuple(members), "from-p")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def K_bell(params: Params, n_max: int, variant: str = "corrected") -> PolyFamily:
     """Partial-Bell-polynomial route through the values at 0 and the
     bracket factorials: K_n = sum_k binom(n,k) A_{n-k} [x]_k with
@@ -273,7 +277,7 @@ def theta_power_weights(q: Fraction, n_max: int) -> tuple[tuple[Fraction, ...], 
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def K_stirling(params: Params, n_max: int, variant: str = "oracle") -> PolyFamily:
     """Expansion of K_n over the companions with log-power weights.
 
@@ -300,7 +304,7 @@ def K_stirling(params: Params, n_max: int, variant: str = "oracle") -> PolyFamil
     return PolyFamily(params, n_max, tuple(members), f"stirling-{variant}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def classical_K(p, r, n_max: int, order: int | None = None) -> PolyFamily:
     """Classical Krawtchouk family: n! [t^n] (1+t)^x (1+qt)^(-x-r); exact for rational r."""
     from .series import gen_binomial
@@ -320,7 +324,7 @@ def classical_K(p, r, n_max: int, order: int | None = None) -> PolyFamily:
 # the companion Appell family P, four ways
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def P_series(params: Params, n_max: int, order: int | None = None) -> PolyFamily:
     """Canonical route: n! [z^n] of e^(xz) times the reciprocal Laplace series."""
     order = _series_order(n_max, order)
@@ -331,7 +335,7 @@ def P_series(params: Params, n_max: int, order: int | None = None) -> PolyFamily
     return PolyFamily(params, n_max, members, "p-series")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def P_bell(params: Params, n_max: int) -> PolyFamily:
     """Bell-polynomial route: P_n = sum_k binom(n,k) [sum_i (-1)^i i! B_{n-k,i}(M)] x^k,
     with M the exact moment vector."""
@@ -346,7 +350,7 @@ def P_bell(params: Params, n_max: int) -> PolyFamily:
     return PolyFamily(params, n_max, tuple(members), "p-bell")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def P_from_K(params: Params, n_max: int) -> PolyFamily:
     """Inverse basis change: P_n = sum_m varrho(m,n)/m! K_m."""
     k_fam = K_series(params, n_max)
@@ -359,7 +363,7 @@ def P_from_K(params: Params, n_max: int) -> PolyFamily:
     return PolyFamily(params, n_max, tuple(members), "p-from-k")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def P_from_K_stirling2(params: Params, n_max: int) -> PolyFamily:
     """Second-kind-Stirling route:
     P_n = sum_{k>=1} [sum_{j=k}^{n} binom(j-1,k-1) q^(j-k)/p^j j! S(n,j)] K_k / k!

@@ -527,9 +527,3 @@ def log1p_scaled_series(c, order: int) -> TSeries:
     for k in range(1, order + 1):
         out.append(Fraction((-1) ** (k + 1), k) * c**k)
     return TSeries(out, order)
-
-
-def geometric_series(c, order: int) -> TSeries:
-    """Taylor series of 1/(1 - c*t)."""
-    c = as_fraction(c)
-    return TSeries([c**k for k in range(order + 1)], order)

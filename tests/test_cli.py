@@ -4,10 +4,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from mpmath import mp
 
+import degenkraw
 from degenkraw.audit import CHECKS, PROPERTIES, RunContext
 from degenkraw.cli import cmd_audit, cmd_moments, cmd_polys, cmd_sample, main
 from degenkraw.config import ConfigError, config_from_dict, load_config
@@ -322,3 +328,75 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == "p1: FAIL (p1-basis-change: n=1: -1)\n"
         assert main(argv + ["cross"]) == 1
         assert capsys.readouterr().out == "cross: FAIL (k-route-from-p: n=1: -1)\n"
+
+
+# degenkraw.__all__ as it stood before the floating-point names became lazy
+PUBLIC_NAMES = [
+    "ChaosVector", "CoeffTable", "Config", "ConfigError", "DomainError", "K_bell",
+    "K_epsilon", "K_from_P", "K_series", "K_stirling", "MeasureModel",
+    "NonInvertibleSeries", "P_bell", "P_from_K", "P_from_K_stirling2", "P_series",
+    "Params", "PolyFamily", "TSeries", "XPoly", "XYPoly", "addition_P3", "addition_P4",
+    "bell_partial", "bracket_y", "c_coeffs", "chaos_to_poly", "classical_K",
+    "classical_pmf", "coeff_table", "combinat", "compositions", "config", "deg_exp",
+    "deg_exp_series", "deg_falling", "epsilon", "epsilon_closed", "eta",
+    "exact_moments", "faa_derivative", "family", "gen_binomial", "kappa",
+    "laplace_series", "load_config", "measure", "monomial_from_K", "mu_coeffs",
+    "operators", "poly_to_chaos", "polys", "rho_scaling", "sample", "sampling",
+    "scale_expansion", "scale_substitution", "series", "stirling1", "stirling2",
+    "translate", "tv_distance", "varpi", "varrho", "xi_derivs",
+]
+
+# run in a fresh interpreter: the test process already holds mpmath and numpy
+_IMPORTS_CHILD = """
+import contextlib, io, json, sys
+from degenkraw.cli import main
+from degenkraw.polys import K_ROUTES, P_ROUTES
+
+heavy = ("mpmath", "numpy", "degenkraw.audit")
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+with contextlib.redirect_stdout(io.StringIO()):
+    for route in K_ROUTES + P_ROUTES + ("classical",):
+        assert main(["polys", "--n-max", "3", "--route", route]) == 0
+    loaded["polys"] = [m for m in heavy if m in sys.modules]
+    assert main(["moments", "--m-max", "2"]) == 0
+    loaded["moments"] = [m for m in heavy if m in sys.modules]
+
+import degenkraw
+loaded["lazy"] = [degenkraw.sample.__module__, degenkraw.MeasureModel.__module__]
+loaded["all"] = sorted(degenkraw.__all__)
+print(json.dumps(loaded))
+"""
+
+
+class TestStartupImports:
+    def test_subcommands_import_only_what_they_run(self):
+        src = str(Path(degenkraw.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORTS_CHILD],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout)
+        assert loaded["import"] == []
+        assert loaded["polys"] == []
+        assert "numpy" not in loaded["moments"]
+        assert loaded["lazy"] == ["degenkraw.sampling", "degenkraw.measure"]
+        assert loaded["all"] == PUBLIC_NAMES
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["polys", "--n-max", "4"],
+            ["moments", "--m-max", "2"],
+            ["sample", "--count", "1000"],
+            ["audit", "--n-max", "1"],
+            ["verify", "--property", "normalization", "--n-max", "4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_subcommands_leave_mpmath_precision_alone(self, config_file, capsys, argv):
+        assert mp.dps == 15
+        assert main(argv[:1] + ["--params", config_file] + argv[1:]) == 0
+        capsys.readouterr()
+        assert mp.dps == 15
