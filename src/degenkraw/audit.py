@@ -28,7 +28,7 @@ from typing import Callable
 import mpmath
 from mpmath import mp
 
-from .combinat import epsilon, epsilon_closed
+from .combinat import epsilon, epsilon_closed, theta_triangle
 from .config import PROPERTIES, VARIANT_PROPERTIES, Config, ConfigError, Params
 from .measure import MeasureModel, to_mpf
 from .operators import (
@@ -53,7 +53,6 @@ from .polys import (
     monomial_from_K,
     mu_coeffs,
     stirling_transition,
-    theta_power_weights,
 )
 
 
@@ -290,11 +289,11 @@ def _stirling_transition(upper: str, residual: str, notes: str):
     """The double Stirling sum against n![z^n] theta^k / k!, k <= n <= n_max."""
 
     def run(c: RunContext):
-        weights = theta_power_weights(c.params.q, c.n_max)
+        rows = theta_triangle(c.params.q)
         gap = _first_gap(
             [(n, k) for n in range(c.n_max + 1) for k in range(n + 1)],
             lambda nk: stirling_transition(*nk, c.params.q, upper),
-            lambda nk: weights[nk[1]][nk[0]],
+            lambda nk: rows[nk[0]][nk[1]],
         )
         return _exact(gap, residual, notes)
 

@@ -296,13 +296,13 @@ def deg_falling(beta, k: int, lam) -> Fraction:
 # generating series for the coefficient families
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def theta_series(q: Fraction, order: int) -> TSeries:
     """Taylor series of log((1+z)/(1+qz))."""
     return log1p_scaled_series(1, order) - log1p_scaled_series(q, order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES)
 def zeta_series(q: Fraction, order: int) -> TSeries:
     """Taylor series of (e^z - 1)/(1 - q e^z), the inverse of theta.
 

@@ -25,14 +25,15 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp
 
-from .combinat import deg_falling, stirling1_unsigned, stirling2
+from .combinat import _TABLES, deg_falling, stirling1_unsigned, stirling2
 # the exact side of the model lives in config, free of mpmath; re-exported here
 from .config import Params, deg_exp_series, exact_moments, laplace_series
-from .series import TSeries, as_fraction, gen_binomial
+from .series import as_fraction, gen_binomial
 
 DEFAULT_DIGITS = 60
 _GUARD_DIGITS = 15
@@ -84,6 +85,13 @@ def classical_pmf(n: int, p, r, digits: int = DEFAULT_DIGITS):
 # the measure model
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=_TABLES)
+def _laplace_series(params: Params, order: int):
+    """``laplace_series``, shared by every model at a parameter point; the last
+    _TABLES (point, order) pairs are kept."""
+    return laplace_series(params, order)
+
+
 @dataclass
 class MeasureModel:
     """Degenerate Pascal measure at a parameter point, with numeric caches.
@@ -97,7 +105,6 @@ class MeasureModel:
     params: Params
     precision: int = DEFAULT_DIGITS
     _phi: list = field(default_factory=list, repr=False)
-    _series_cache: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):
@@ -322,16 +329,11 @@ class MeasureModel:
                 raise DomainError("Laplace transform undefined: base <= 0")
             return mpmath.power(base, to_mpf(self.params.beta / self.params.lam))
 
-    def laplace_series(self, order: int) -> TSeries:
-        if order not in self._series_cache:
-            self._series_cache[order] = laplace_series(self.params, order)
-        return self._series_cache[order]
-
     def moment_exact(self, m: int) -> Fraction:
         """m-th moment as an exact rational: m! times the Laplace series coefficient."""
         if m < 0:
             raise ValueError("moment order must be nonnegative")
-        return math.factorial(m) * self.laplace_series(max(m, 8)).coeff(m)
+        return math.factorial(m) * _laplace_series(self.params, max(m, 8)).coeff(m)
 
     # -- Gamma mixture ---------------------------------------------------------
 

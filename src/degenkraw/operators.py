@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .combinat import _TABLES, bracket_y, deg_falling, epsilon, rho_scaling
 from .config import Params
-from .polys import K_series, P_series
+from .polys import K_series, P_series, _triangular_sums
 from .series import XPoly, as_fraction
 
 
@@ -162,13 +162,11 @@ def translation_series_residuals(params: Params, y, order: int) -> list[XPoly]:
     All-zero residuals verify the identity through the given order.
     """
     y = as_fraction(y)
-    fam = P_series(params, order)
+    fam = P_series(params, order).members
+    expanded = _triangular_sums(lambda n, k: math.comb(n, k) * y ** (n - k), fam)
     out = []
-    for n in range(order + 1):
-        shifted = fam[n](XPoly((y, 1)))  # substitute x -> x + y
+    for member, acc in zip(fam, expanded):
+        shifted = member(XPoly((y, 1)))  # substitute x -> x + y
         shifted = shifted if isinstance(shifted, XPoly) else XPoly.const(shifted)
-        acc = XPoly()
-        for k in range(n + 1):
-            acc = acc + math.comb(n, k) * y ** (n - k) * fam[k]
         out.append(shifted - acc)
     return out

@@ -11,11 +11,12 @@ z = theta(t), which makes it Sheffer in x: its lowering operator is
 zeta(d/dx), zeta = theta^{-1}, so zeta(D) K_n = n K_{n-1} (acceptance
 2c), and its derivative rule picks up the theta coefficients (see
 test_polys).  Every other construction here (coefficient recurrence,
-composition sums, Stirling expansions, partial Bell polynomial
-formulas) is an independent route to the same members,
-and the test suite holds all routes to exact rational equality.  Routes
-suffixed "literal" evaluate alternate printed forms whose residuals the
-audit reports; they are not expected to match.
+basis changes through the Riordan tables, the double Stirling sum,
+partial Bell polynomial formulas) is an independent route to the same
+members, each a triangular sum sum_{k<=n} w(n, k) b_k over its own basis
+and weights, and the test suite holds all routes to exact rational
+equality.  Routes suffixed "literal" evaluate alternate printed forms
+whose residuals the audit reports; they are not expected to match.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .combinat import (
     omega_power_series,
     stirling1,
     stirling2,
-    theta_triangle,
     varpi,
     varrho,
 )
@@ -162,6 +162,18 @@ def _as_xpoly(c) -> XPoly:
     return c if isinstance(c, XPoly) else XPoly.const(c)
 
 
+def _triangular_sums(weight, basis) -> tuple[XPoly, ...]:
+    """members[n] = sum_{k<=n} weight(n, k) * basis[k] for each n < len(basis):
+    the one assembly behind every route that expands over a basis."""
+    members = []
+    for n in range(len(basis)):
+        acc = XPoly()
+        for k in range(n + 1):
+            acc = acc + weight(n, k) * basis[k]
+        members.append(acc)
+    return tuple(members)
+
+
 # ---------------------------------------------------------------------------
 # the K family, five ways
 # ---------------------------------------------------------------------------
@@ -191,28 +203,21 @@ def K_series(params: Params, n_max: int, order: int | None = None) -> PolyFamily
 def K_epsilon(params: Params, n_max: int) -> PolyFamily:
     """Assembly from the coefficient recurrence:
     K_n = sum_k n!/(n-k)! r^(n-k) c_{n-k} epsilon_k(x)."""
-    c = c_coeffs(n_max, params)
-    members = []
-    for n in range(n_max + 1):
-        acc = XPoly()
-        for k in range(n + 1):
-            w = Fraction(math.factorial(n), math.factorial(n - k)) * params.r ** (n - k) * c[n - k]
-            acc = acc + w * epsilon(k, params.q)
-        members.append(acc)
-    return PolyFamily(params, n_max, tuple(members), "epsilon")
+    c, r = c_coeffs(n_max, params), params.r
+    members = _triangular_sums(
+        lambda n, k: Fraction(math.factorial(n), math.factorial(n - k)) * r ** (n - k) * c[n - k],
+        [epsilon(k, params.q) for k in range(n_max + 1)],
+    )
+    return PolyFamily(params, n_max, members, "epsilon")
 
 
 @lru_cache(maxsize=_TABLES)
 def K_from_P(params: Params, n_max: int) -> PolyFamily:
     """Basis change from the Appell companions: K_n = sum_m varpi(m,n)/m! P_m."""
-    p_fam = P_series(params, n_max)
-    members = []
-    for n in range(n_max + 1):
-        acc = XPoly()
-        for m in range(n + 1):
-            acc = acc + (varpi(m, n, params.q) / math.factorial(m)) * p_fam[m]
-        members.append(acc)
-    return PolyFamily(params, n_max, tuple(members), "from-p")
+    members = _triangular_sums(
+        lambda n, m: varpi(m, n, params.q) / math.factorial(m), P_series(params, n_max).members
+    )
+    return PolyFamily(params, n_max, members, "from-p")
 
 
 @lru_cache(maxsize=_TABLES)
@@ -232,76 +237,52 @@ def K_bell(params: Params, n_max: int, variant: str = "corrected") -> PolyFamily
     else:
         args = exact_moments(params, n_max + 1)
     consts = _bell_constants(args, n_max)
-    brackets = [bracket_y(k, params.q) for k in range(n_max + 1)]
-    members = []
-    for n in range(n_max + 1):
-        acc = XPoly()
-        for k in range(n + 1):
-            acc = acc + math.comb(n, k) * consts[n - k] * brackets[k]
-        members.append(acc)
-    return PolyFamily(params, n_max, tuple(members), f"bell-{variant}")
+    members = _triangular_sums(
+        lambda n, k: math.comb(n, k) * consts[n - k],
+        [bracket_y(k, params.q) for k in range(n_max + 1)],
+    )
+    return PolyFamily(params, n_max, members, f"bell-{variant}")
 
 
 def stirling_transition(n: int, k: int, q, upper: str = "plus") -> Fraction:
     """Double Stirling sum sum_j (-1)^(k-j) sum_m binom(n,m) s(m,j) s(n-m,k-j) q^(n-m).
 
     upper="plus" runs the inner sum to n-k+j (the bounds forced by the
-    supports of the Stirling numbers, matching n![z^n] theta^k / k!);
-    upper="minus" runs it to n-k-j, the alternate printed bound kept for
-    the audit.
+    supports of the Stirling numbers): since theta = log(1+t) - log(1+qt),
+    it is the binomial convolution of the Stirling columns of the two logs
+    and equals n! [z^n] theta^k / k!.  upper="minus" runs it to n-k-j, the
+    alternate printed bound kept for the audit.  The integer terms are
+    summed per power of q, and the polynomial in q is evaluated once.
     """
     if upper not in ("plus", "minus"):
         raise ValueError(f"unknown bound variant {upper!r}")
     q = as_fraction(q)
-    total = Fraction(0)
+    by_power = [0] * (n + 1)  # by_power[e]: integer coefficient of q^e, e = n - m
     for j in range(k + 1):
         hi = n - k + j if upper == "plus" else n - k - j
+        sign = -1 if (k - j) % 2 else 1
         for m in range(j, hi + 1):
-            total += (
-                Fraction((-1) ** (k - j))
-                * math.comb(n, m)
-                * stirling1(m, j)
-                * stirling1(n - m, k - j)
-                * q ** (n - m)
-            )
-    return total
-
-
-def theta_power_weights(q: Fraction, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
-    """weights[k][n] = n! [z^n] theta(z)^k / k! for k, n <= n_max, read from
-    the exponential Riordan array [1, theta] of ``combinat.theta_triangle``."""
-    rows = theta_triangle(as_fraction(q))
-    return tuple(
-        tuple(rows[n][k] if k <= n else Fraction(0) for n in range(n_max + 1))
-        for k in range(n_max + 1)
-    )
+            by_power[n - m] += sign * math.comb(n, m) * stirling1(m, j) * stirling1(n - m, k - j)
+    num, den = q.numerator, q.denominator
+    return Fraction(sum(c * num**e * den ** (n - e) for e, c in enumerate(by_power)), den**n)
 
 
 @lru_cache(maxsize=_TABLES)
 def K_stirling(params: Params, n_max: int, variant: str = "oracle") -> PolyFamily:
-    """Expansion of K_n over the companions with log-power weights.
+    """Expansion of K_n over the companions with the double Stirling sum as
+    weights: K_n = sum_k stirling_transition(n, k) P_k.
 
-    variant="oracle" takes the weight of P_k from ``theta_power_weights``
-    (the unambiguous definition); variant="literal" evaluates the printed
-    double Stirling sum with its printed inner bound n-k-j.
-    ``stirling_transition(..., "plus")`` reproduces the oracle weights,
-    which the tests assert.
+    variant="oracle" runs the inner sum to its support bound n-k+j, which
+    gives n! [z^n] theta^k / k! without reading the [1, theta] table;
+    variant="literal" uses the printed inner bound n-k-j.
     """
     if variant not in ("oracle", "literal"):
         raise ValueError(f"unknown K_stirling variant {variant!r}")
-    p_fam = P_series(params, n_max)
-    if variant == "oracle":
-        weights = theta_power_weights(params.q, n_max)
-        coeff = lambda n, k: weights[k][n]
-    else:
-        coeff = lambda n, k: stirling_transition(n, k, params.q, "minus")
-    members = []
-    for n in range(n_max + 1):
-        acc = XPoly()
-        for k in range(n + 1):
-            acc = acc + coeff(n, k) * p_fam[k]
-        members.append(acc)
-    return PolyFamily(params, n_max, tuple(members), f"stirling-{variant}")
+    upper = "plus" if variant == "oracle" else "minus"
+    members = _triangular_sums(
+        lambda n, k: stirling_transition(n, k, params.q, upper), P_series(params, n_max).members
+    )
+    return PolyFamily(params, n_max, members, f"stirling-{variant}")
 
 
 @lru_cache(maxsize=_TABLES)
@@ -341,50 +322,39 @@ def P_bell(params: Params, n_max: int) -> PolyFamily:
     with M the exact moment vector."""
     consts = _bell_constants(exact_moments(params, n_max + 1), n_max)
     x = XPoly.x()
-    members = []
-    for n in range(n_max + 1):
-        acc = XPoly()
-        for k in range(n + 1):
-            acc = acc + math.comb(n, k) * consts[n - k] * x**k
-        members.append(acc)
-    return PolyFamily(params, n_max, tuple(members), "p-bell")
+    members = _triangular_sums(
+        lambda n, k: math.comb(n, k) * consts[n - k], [x**k for k in range(n_max + 1)]
+    )
+    return PolyFamily(params, n_max, members, "p-bell")
 
 
 @lru_cache(maxsize=_TABLES)
 def P_from_K(params: Params, n_max: int) -> PolyFamily:
     """Inverse basis change: P_n = sum_m varrho(m,n)/m! K_m."""
-    k_fam = K_series(params, n_max)
-    members = []
-    for n in range(n_max + 1):
-        acc = XPoly()
-        for m in range(n + 1):
-            acc = acc + (varrho(m, n, params.q) / math.factorial(m)) * k_fam[m]
-        members.append(acc)
-    return PolyFamily(params, n_max, tuple(members), "p-from-k")
+    members = _triangular_sums(
+        lambda n, m: varrho(m, n, params.q) / math.factorial(m), K_series(params, n_max).members
+    )
+    return PolyFamily(params, n_max, members, "p-from-k")
 
 
 @lru_cache(maxsize=_TABLES)
 def P_from_K_stirling2(params: Params, n_max: int) -> PolyFamily:
     """Second-kind-Stirling route:
     P_n = sum_{k>=1} [sum_{j=k}^{n} binom(j-1,k-1) q^(j-k)/p^j j! S(n,j)] K_k / k!
-    plus the k = 0 term, which the series power zeta^0 = 1 makes delta_{n,0}."""
-    k_fam = K_series(params, n_max)
-    members = []
-    for n in range(n_max + 1):
-        acc = XPoly.const(1 if n == 0 else 0)
-        for k in range(1, n + 1):
-            w = Fraction(0)
-            for j in range(k, n + 1):
-                w += (
-                    math.comb(j - 1, k - 1)
-                    * params.q ** (j - k)
-                    / params.p**j
-                    * math.factorial(j)
-                    * stirling2(n, j)
-                )
-            acc = acc + w / math.factorial(k) * k_fam[k]
-        members.append(acc)
-    return PolyFamily(params, n_max, tuple(members), "p-stirling2")
+    plus the k = 0 term, which the series power zeta^0 = 1 makes delta_{n,0} K_0."""
+    q, p = params.q, params.p
+
+    def weight(n, k):
+        if k == 0:
+            return int(n == 0)
+        w = sum(
+            math.comb(j - 1, k - 1) * q ** (j - k) / p**j * math.factorial(j) * stirling2(n, j)
+            for j in range(k, n + 1)
+        )
+        return w / math.factorial(k)
+
+    members = _triangular_sums(weight, K_series(params, n_max).members)
+    return PolyFamily(params, n_max, members, "p-stirling2")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from degenkraw.combinat import epsilon, eta
+from degenkraw.combinat import epsilon, eta, stirling1, theta_triangle
 from degenkraw.measure import Params, exact_moments
 from degenkraw.polys import (
     K_ROUTES,
@@ -29,7 +29,6 @@ from degenkraw.polys import (
     monomial_from_K,
     mu_coeffs,
     stirling_transition,
-    theta_power_weights,
     xi_derivs,
     xi_series,
 )
@@ -247,6 +246,23 @@ class TestAdditionIdentities:
             assert bracket_y(m, params.q)(F(0)) == 0
 
 
+def _stirling_transition_by_terms(n, k, q, upper):
+    """The double Stirling sum as printed, one Fraction product per term: the
+    reference form ``stirling_transition`` is held to."""
+    total = F(0)
+    for j in range(k + 1):
+        hi = n - k + j if upper == "plus" else n - k - j
+        for m in range(j, hi + 1):
+            total += (
+                F((-1) ** (k - j))
+                * math.comb(n, m)
+                * stirling1(m, j)
+                * stirling1(n - m, k - j)
+                * q ** (n - m)
+            )
+    return total
+
+
 class TestStirlingTransition:
     def test_corrected_bound_matches_series_powers(self, params):
         from degenkraw.combinat import theta_series
@@ -254,18 +270,47 @@ class TestStirlingTransition:
         n_max = 8
         theta = theta_series(params.q, n_max)
         power = TSeries.one(n_max)
-        weights = theta_power_weights(params.q, n_max)
+        rows = theta_triangle(params.q)
         for k in range(n_max + 1):
             for n in range(n_max + 1):
                 oracle = math.factorial(n) * power.coeff(n) / math.factorial(k)
-                assert weights[k][n] == oracle
+                assert (rows[n][k] if k <= n else 0) == oracle
                 assert stirling_transition(n, k, params.q, "plus") == oracle
             power = power * theta
+
+    @pytest.mark.parametrize("upper", ["plus", "minus"])
+    def test_matches_term_by_term_sum(self, params, upper):
+        for n in range(13):
+            for k in range(13):
+                assert stirling_transition(n, k, params.q, upper) == _stirling_transition_by_terms(
+                    n, k, params.q, upper
+                ), (n, k)
 
     def test_literal_bound_diverges(self, set_a):
         assert stirling_transition(1, 1, set_a.q, "minus") != stirling_transition(
             1, 1, set_a.q, "plus"
         )
+
+    def test_oracle_route_reads_no_theta_table(self, monkeypatch):
+        # the oracle route must stay independent of from-p: with the
+        # [1, theta] table and varpi disabled it still builds.  A point no
+        # other test uses keeps every family cache cold.
+        import degenkraw.combinat as cb
+        import degenkraw.polys as polys
+
+        def disabled(*args):
+            raise AssertionError("the oracle route read the [1, theta] table")
+
+        for module in (cb, polys):
+            for name in ("theta_triangle", "varpi"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, disabled)
+        params = Params.make("-3/4", "5/2", "2/7", "5/4")
+        oracle = K_stirling(params, 12, "oracle")
+        with pytest.raises(AssertionError):
+            K_from_P(params, 12)
+        monkeypatch.undo()
+        assert oracle.members == K_series(params, 12).members
 
 
 class TestPolynomialCost:
