@@ -25,6 +25,7 @@ from .combinat import (
 from .config import (
     Config,
     ConfigError,
+    DomainError,
     Params,
     deg_exp_series,
     exact_moments,
@@ -68,7 +69,7 @@ __version__ = "0.1.0"
 # name -> submodule that defines it, imported on first access
 _LAZY = {
     **dict.fromkeys(
-        ("measure", "DomainError", "MeasureModel", "classical_pmf", "deg_exp"), "measure"
+        ("measure", "MeasureModel", "classical_pmf", "deg_exp"), "measure"
     ),
     **dict.fromkeys(("sampling", "sample", "tv_distance"), "sampling"),
 }

@@ -9,7 +9,8 @@ Subcommands:
 
 Outputs are deterministic: the same config produces byte-identical text.
 Rationals print as "num/den" in lowest terms; floating columns carry a
-fixed digit count.  Invalid configuration exits with code 2; a failing
+fixed digit count.  Invalid configuration, and a parameter point where a
+requested formula leaves its real domain, exit with code 2; a failing
 canonical audit entry exits with code 1.
 
 Each subcommand imports what it runs inside its ``cmd_*`` function, so
@@ -26,7 +27,7 @@ import json
 import math
 import sys
 
-from .config import PROPERTIES, Config, ConfigError, load_config
+from .config import PROPERTIES, Config, ConfigError, DomainError, load_config
 from .polys import K_ROUTES, P_ROUTES, family
 
 _ALL_ROUTES = K_ROUTES + P_ROUTES + ("classical",)
@@ -249,7 +250,7 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
             return code
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,9 +3,11 @@
 Stirling numbers of both kinds, partial Bell polynomials, degenerate
 falling factorials, and the named coefficient families that drive the
 polynomial identities: eta (log-quotient Taylor numbers), kappa (its
-inverse series), epsilon (coefficients of ((1+t)/(1+qt))^x), the bracket
-factorials [y]_n, varpi / varrho (the weights of the two basis changes),
-and the two variants of the scaling weights rho.
+inverse series), epsilon (coefficients of ((1+t)/(1+qt))^x) and the
+bracket factorials [y]_n, varpi / varrho (the weights of the two basis
+changes), and the two variants of the scaling weights rho.  epsilon and
+the bracket factorials are one table per q, the associated sequence of
+theta: [x]_n = n! epsilon_n(x).
 
 The canonical definition of every coefficient family is its generating
 series.  One core computes them: the exponential Riordan array [1, X] of a
@@ -322,35 +324,36 @@ def _prefix_products(factor: Callable[[int], XPoly]) -> GrowingTable:
 
 
 _X = XPoly.x()
-# binom(x, n) and binom(-x, n): the coefficients of (1+t)^x and (1+t)^(-x)
-_BINOM_X = _prefix_products(lambda n: (_X - (n - 1)) / n)
-_BINOM_NEG_X = _prefix_products(lambda n: (-_X - (n - 1)) / n)
 # the falling factorials (y)_n and (-y)_n of the bracket factorials
 _FALLING_Y = _prefix_products(lambda n: _X - (n - 1))
 _FALLING_NEG_Y = _prefix_products(lambda n: -_X - (n - 1))
 
 
 @lru_cache(maxsize=_TABLES)
-def _omega_coeffs(q: Fraction) -> GrowingTable:
-    """epsilon_0(x), epsilon_1(x), ...: the coefficients of ((1+t)/(1+qt))^x,
-    each the Cauchy-product coefficient of (1+t)^x and (1+qt)^{-x}."""
+def _bracket_table(q: Fraction) -> GrowingTable:
+    """[y]_0, [y]_1, ...: the associated sequence of theta = log((1+t)/(1+qt)),
+    n! [t^n] ((1+t)/(1+qt))^y, each the binomial convolution
+    [y]_n = sum_k binom(n,k) q^k (y)_{n-k} (-y)_k.
 
-    def next_coeff(done):
-        k = len(done)
-        total = None
-        for j in range(k + 1):
-            term = _BINOM_X[k - j] * (_BINOM_NEG_X[j] * q**j)
-            total = term if total is None else total + term
+    ``bracket_y`` reads it as it is and ``epsilon`` divided by n!.  It reads
+    no Riordan table, so the routes built on it stay independent of
+    ``theta_triangle``.
+    """
+
+    def next_bracket(done):
+        n = len(done)
+        total = XPoly()
+        for k in range(n + 1):
+            total = total + math.comb(n, k) * q**k * _FALLING_Y[n - k] * _FALLING_NEG_Y[k]
         return total
 
-    return GrowingTable(next_coeff)
+    return GrowingTable(next_bracket)
 
 
 def omega_power_series(q: Fraction, order: int) -> TSeries:
     """Series of ((1+t)/(1+qt))^x with XPoly coefficients (exact in x),
-    read from the one coefficient table per q that ``epsilon`` reads too."""
-    coeffs = _omega_coeffs(as_fraction(q))
-    return TSeries([coeffs[k] for k in range(order + 1)], order)
+    the epsilon_k of the one bracket table per q."""
+    return TSeries([epsilon(k, q) for k in range(order + 1)], order)
 
 
 @lru_cache(maxsize=_TABLES)
@@ -391,7 +394,7 @@ def epsilon(k: int, q) -> XPoly:
     """Coefficient of t^k in ((1+t)/(1+qt))^x, as an exact polynomial in x."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    return _omega_coeffs(as_fraction(q))[k]
+    return _bracket_table(as_fraction(q))[k] / math.factorial(k)
 
 
 def epsilon_closed(k: int, q, variant: str = "derived") -> XPoly:
@@ -414,18 +417,14 @@ def epsilon_closed(k: int, q, variant: str = "derived") -> XPoly:
 
 
 def bracket_y(n: int, q) -> XPoly:
-    """Bracket factorial [y]_n = sum_k binom(n,k) q^k (y)_{n-k} (-y)_k.
+    """Bracket factorial [y]_n = sum_k binom(n,k) q^k (y)_{n-k} (-y)_k = n! epsilon_n(y).
 
     Returned as a polynomial in the translation variable; equals
     n! [z^n] exp(y * log((1+z)/(1+qz))).
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    q = as_fraction(q)
-    total = XPoly()
-    for k in range(n + 1):
-        total = total + math.comb(n, k) * q**k * _FALLING_Y[n - k] * _FALLING_NEG_Y[k]
-    return total
+    return _bracket_table(as_fraction(q))[n]
 
 
 # ---------------------------------------------------------------------------

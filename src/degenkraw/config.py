@@ -11,7 +11,9 @@ q is derived as 1 - p.  Flags override file values field by field.
 The module also holds the exact side of the model, which needs no
 floating point: the parameters (``Params``), the exact Taylor series of
 the measure's Laplace transform and the moments read from it.  The
-mpmath-backed measure lives in ``measure``, which re-exports these names.
+mpmath-backed measure lives in ``measure``, which re-exports these names
+and raises ``DomainError``, declared here so the CLI reports it without
+loading mpmath.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .series import TSeries, as_fraction, expm1_series
 
 class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
+
+
+class DomainError(ValueError):
+    """Raised when an evaluation point leaves the real domain of a formula."""
 
 
 # the properties ``verify --property`` accepts, in the order of

@@ -31,16 +31,13 @@ import mpmath
 from mpmath import mp
 
 from .combinat import _TABLES, deg_falling, stirling1_unsigned, stirling2
-# the exact side of the model lives in config, free of mpmath; re-exported here
-from .config import Params, deg_exp_series, exact_moments, laplace_series
+# the exact side of the model and DomainError live in config, free of mpmath;
+# re-exported here
+from .config import DomainError, Params, deg_exp_series, exact_moments, laplace_series
 from .series import as_fraction, gen_binomial
 
 DEFAULT_DIGITS = 60
 _GUARD_DIGITS = 15
-
-
-class DomainError(ValueError):
-    """Raised when an evaluation point leaves the real domain of a formula."""
 
 
 def to_mpf(x):
@@ -166,10 +163,7 @@ class MeasureModel:
             if denom <= 0:
                 raise DomainError("generating function undefined: q*x >= 1")
             arg = to_mpf(self.params.r) * mpmath.log(to_mpf(self.params.p) / denom)
-            base = 1 + to_mpf(self.params.lam) * arg
-            if base <= 0:
-                raise DomainError("generating function undefined: past the singularity")
-            return mpmath.power(base, to_mpf(self.params.beta / self.params.lam))
+            return deg_exp(arg, self.params, self.precision)
 
     def singularity(self):
         """Radius of convergence of the mass generating function:
@@ -260,10 +254,7 @@ class MeasureModel:
         """Closed-form total mass of the literal pmf: (1 + lam*(r*log p + q))^(beta/lam)."""
         with self._dps():
             arg = to_mpf(self.params.r) * self._log_p() + to_mpf(self.params.q)
-            base = 1 + to_mpf(self.params.lam) * arg
-            if base <= 0:
-                raise DomainError("literal mass undefined for these parameters")
-            return mpmath.power(base, to_mpf(self.params.beta / self.params.lam))
+            return deg_exp(arg, self.params, self.precision)
 
     def literal_moment_sums(self, m_max: int) -> list:
         """Direct sums sum_n n^m literal_pmf(n) for m = 0..m_max (oracle for literal_moment).
@@ -324,10 +315,7 @@ class MeasureModel:
             if abs(qez) >= 1:
                 raise DomainError("Laplace transform undefined: |q e^z| >= 1")
             arg = to_mpf(self.params.r) * mpmath.log(to_mpf(self.params.p) / (1 - qez))
-            base = 1 + to_mpf(self.params.lam) * arg
-            if base <= 0:
-                raise DomainError("Laplace transform undefined: base <= 0")
-            return mpmath.power(base, to_mpf(self.params.beta / self.params.lam))
+            return deg_exp(arg, self.params, self.precision)
 
     def moment_exact(self, m: int) -> Fraction:
         """m-th moment as an exact rational: m! times the Laplace series coefficient."""

@@ -14,9 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .combinat import _TABLES, bracket_y, deg_falling, epsilon, rho_scaling
+from .combinat import bracket_y, deg_falling, epsilon, rho_scaling
 from .config import Params
 from .polys import K_series, P_series, _triangular_sums
 from .series import XPoly, as_fraction
@@ -50,16 +49,11 @@ class ChaosVector:
         return cls.make(Fraction(s) for s in items)
 
 
-@lru_cache(maxsize=_TABLES)
-def _basis(params: Params, n_max: int):
-    return K_series(params, n_max).members
-
-
 def chaos_to_poly(v: ChaosVector, params: Params) -> XPoly:
     """Expand a chaos vector into the monomial basis."""
     if not v.coeffs:
         return XPoly()
-    basis = _basis(params, v.degree)
+    basis = K_series(params, v.degree).members
     acc = XPoly()
     for n, c in enumerate(v.coeffs):
         acc = acc + c * basis[n]
@@ -73,7 +67,7 @@ def poly_to_chaos(p: XPoly, params: Params) -> ChaosVector:
     """
     if p.is_zero():
         return ChaosVector.make(())
-    basis = _basis(params, p.degree)
+    basis = K_series(params, p.degree).members
     residue = p
     out = [Fraction(0)] * (p.degree + 1)
     for n in range(p.degree, -1, -1):

@@ -362,20 +362,16 @@ def P_from_K_stirling2(params: Params, n_max: int) -> PolyFamily:
 # ---------------------------------------------------------------------------
 
 def monomial_from_K(n: int, params: Params) -> XPoly:
-    """x^n rebuilt from the K family:
-    sum_k sum_m binom(n,k) varrho(m,k)/m! K_m(x) M(n-k)."""
+    """x^n rebuilt from the K family through the companion basis:
+    sum_k binom(n,k) M(n-k) P_k(x), with M the moments and
+    P_k = sum_m varrho(m,k)/m! K_m the members of ``P_from_K``."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    k_fam = K_series(params, n)
+    companions = P_from_K(params, n).members
     moments = exact_moments(params, n)
     acc = XPoly()
     for k in range(n + 1):
-        for m in range(k + 1):
-            acc = acc + (
-                math.comb(n, k)
-                * (varrho(m, k, params.q) / math.factorial(m))
-                * moments[n - k]
-            ) * k_fam[m]
+        acc = acc + math.comb(n, k) * moments[n - k] * companions[k]
     return acc
 
 

@@ -86,6 +86,24 @@ class TestConfig:
     def test_missing_file_exits_2(self):
         assert main(["polys", "--params", "/nonexistent/x.json"]) == 2
 
+    # valid points where the literal pmf series diverges, so the literal
+    # moment and the audit's literal resummation leave their domain; at
+    # p = 1/10 the audit first sums 1461 support points for its canonical
+    # moment checks (about 50 s on a 2-core machine), so it runs at p = 1/2,
+    # where the same literal check fails within a second
+    @pytest.mark.parametrize(
+        "argv, p",
+        [(["moments", "--m-max", "1", "--digits", "40"], "1/10"), (["audit"], "1/2")],
+        ids=["moments", "audit"],
+    )
+    def test_domain_error_exits_2(self, tmp_path, capsys, argv, p):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"lambda": "-10", "beta": "1", "p": p, "r": "1/100"}))
+        assert main(argv + ["--params", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+
 
 class TestPolysCommand:
     def test_csv_rows(self):

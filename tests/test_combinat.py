@@ -22,6 +22,7 @@ from degenkraw.combinat import (
     stirling1,
     stirling2,
     theta_series,
+    theta_triangle,
     varpi,
     varpi_by_compositions,
     varrho,
@@ -78,6 +79,11 @@ class TestConcurrentMemoization:
         ] + [
             threading.Thread(target=worker, args=(f"vp-{i}", lambda n, k: varpi(k, n, q), 16))
             for i in range(4)
+        ] + [
+            threading.Thread(
+                target=worker, args=(f"br-{i}", lambda n, k: (bracket_y(n, q), epsilon(k, q)), 16)
+            )
+            for i in range(4)
         ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -95,10 +101,13 @@ class TestConcurrentMemoization:
             assert results[f"s2-{i}"] == results["s2-0"]
             assert results[f"s1-{i}"] == results["s1-0"]
             assert results[f"vp-{i}"] == results["vp-0"]
+            assert results[f"br-{i}"] == results["br-0"]
         # the shared tables themselves stayed coherent
         assert cb.stirling2(59, 58) == math.comb(59, 2)
         assert results["vp-0"][-1] == varpi_by_compositions(15, 15, q)
         assert results["vp-0"][-2] == varpi_by_compositions(14, 15, q)
+        bracket, eps = results["br-0"][-1]
+        assert bracket == XPoly(cb.theta_triangle(q)[15]) == math.factorial(15) * eps
 
 
 class TestStirling:
@@ -316,6 +325,14 @@ class TestCoefficientFamilies:
     def test_bracket_equals_scaled_epsilon(self):
         for n in range(9):
             assert bracket_y(n, Q) == math.factorial(n) * epsilon(n, Q)
+
+    def test_bracket_equals_theta_triangle_rows(self):
+        # exp(y theta) = sum_k y^k theta^k / k!, so row n of [1, theta] holds
+        # the coefficients of [y]_n; the two tables are grown independently
+        for q, _ in SET_QR:
+            rows = theta_triangle(q)
+            for n in range(25):
+                assert XPoly(rows[n]) == bracket_y(n, q)
 
     def test_varpi(self):
         assert varpi(0, 0, Q) == 1
