@@ -146,6 +146,8 @@ def cmd_moments(config: Config, m_max: int) -> str:
 
     model = MeasureModel(config.params, config.precision_digits)
     with mp.workdps(config.precision_digits + 10):
+        # the literal column leaves its domain before any sum is worth running
+        literal = [""] + [_real_str(model.literal_moment(m)) for m in range(1, m_max + 1)]
         sums, cutoff = model.truncated_moment_sums(m_max)
         rows = []
         for m in range(m_max + 1):
@@ -156,7 +158,7 @@ def cmd_moments(config: Config, m_max: int) -> str:
                 {
                     "m": m,
                     "canonical": str(canonical),
-                    "literal": _real_str(model.literal_moment(m)) if m >= 1 else "",
+                    "literal": literal[m],
                     "oracle": _real_str(oracle),
                     "abs_gap": _real_str(gap, 8),
                 }

@@ -17,6 +17,13 @@ decimal digits; the Laplace-transform Taylor series, and hence every
 moment, is exactly rational and is computed over Fraction (``Params``
 and the exact series live in ``config``, which does not import mpmath,
 and are re-exported here).
+
+The two hot kernels, the Stirling-weighted sum behind ``pmf`` and
+``truncated_moment_sums`` and the exponential in the quadrature
+integrands, run on raw ``mpmath.libmp`` tuples.  They call the libmp
+functions that mpf's own operators call, with the same arguments in the
+same order, so every result has the bits of the mpf expression it
+replaces.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fone, from_int, fzero, mpf_add, mpf_div, mpf_e, mpf_exp, mpf_log
+from mpmath.libmp import mpf_mul, mpf_mul_int
 
 from .combinat import _TABLES, deg_falling, stirling1_unsigned, stirling2
 # the exact side of the model and DomainError live in config, free of mpmath;
@@ -56,6 +65,48 @@ def deg_exp(z, params: Params, digits: int = DEFAULT_DIGITS):
         if base <= 0:
             raise DomainError("degenerate exponential undefined: 1 + lambda*z <= 0")
         return mpmath.power(base, to_mpf(params.beta / params.lam))
+
+
+# ---------------------------------------------------------------------------
+# raw libmp kernels, bit for bit equal to the mpf expressions they replace
+# ---------------------------------------------------------------------------
+
+def _stirling_dot(row, w):
+    """sum_j row[j] * w[j] for ints row[j] and mpfs w[j], as a raw libmp tuple.
+
+    Performs the rounded operations of the mpf loop ``acc += to_mpf(c) * w[j]``
+    at the working precision.  ``to_mpf`` converts an int exactly, so
+    ``to_mpf(c) * w[j]`` is one rounded product, which is what
+    ``mpf_mul_int`` returns for any width of c.  A zero c adds an exact zero
+    to a sum that is already rounded, so it is skipped.
+    """
+    prec, rnd = mp._prec_rounding
+    acc = fzero
+    for c, wj in zip(row, w):
+        if c:
+            acc = mpf_add(acc, mpf_mul_int(wj._mpf_, c, prec, rnd), prec, rnd)
+    return acc
+
+
+@lru_cache(maxsize=_TABLES)
+def _log_e(prec: int, rnd: str):
+    # log(e) rounded as mpf_pow rounds it for e ** y; at most precisions not exactly 1
+    return mpf_log(mpf_e(prec, rnd), prec + 10, rnd)
+
+
+def _e_pow(y):
+    """``mpmath.e ** y`` for an mpf y, bit for bit.
+
+    Unless y is an integer or a half-integer, mpf_pow computes
+    exp(y * log(e)) with log(e) rounded at the working precision plus 10
+    bits; this keeps that logarithm per precision instead of recomputing it
+    at every call.
+    """
+    yval = y._mpf_
+    if yval[2] >= -1:  # integer or half-integer y: mpf_pow's other branches
+        return mpmath.e ** y
+    prec, rnd = mp._prec_rounding
+    return mp.make_mpf(mpf_exp(mpf_mul(yval, _log_e(prec, rnd)), prec, rnd))
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +153,7 @@ class MeasureModel:
     params: Params
     precision: int = DEFAULT_DIGITS
     _phi: list = field(default_factory=list, repr=False)
+    _densities: dict = field(default_factory=dict, repr=False)  # quadrature node s -> density
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):
@@ -149,9 +201,7 @@ class MeasureModel:
         w = self._phi_weights(n)
         with self._dps():
             q = to_mpf(self.params.q)
-            acc = mp.mpf(0)
-            for j in range(n + 1):
-                acc += to_mpf(stirling1_unsigned(n, j)) * w[j]
+            acc = mp.make_mpf(_stirling_dot([stirling1_unsigned(n, j) for j in range(n + 1)], w))
             return acc * q**n / to_mpf(math.factorial(n))
 
     def pgf(self, x):
@@ -207,33 +257,32 @@ class MeasureModel:
         """One pass over the adaptive support: returns ([sum n^m pmf(n)]_{m<=m_max}, cutoff).
 
         Streams the unsigned-Stirling rows so nothing quadratic in the
-        cutoff is retained.
+        cutoff is retained.  The arithmetic runs on raw libmp tuples, one
+        call per mpf operation: term = dot * factor, sums[m] += term * npow,
+        npow *= n and factor *= q / (n + 1).
         """
         cutoff = self.adaptive_cutoff(m_max)
         w = self._phi_weights(cutoff)
         with mp.workdps(self.precision + 2 * _GUARD_DIGITS):
-            q = to_mpf(self.params.q)
-            sums = [mp.mpf(0) for _ in range(m_max + 1)]
+            prec, rnd = mp._prec_rounding
+            q = to_mpf(self.params.q)._mpf_
+            sums = [fzero] * (m_max + 1)
             row = [1]  # unsigned Stirling row c(0, .)
-            factor = mp.mpf(1)  # q^n / n!
+            factor = fone  # q^n / n!
             for n in range(cutoff + 1):
-                term = mp.mpf(0)
-                for j, c in enumerate(row):
-                    if c:
-                        term += to_mpf(c) * w[j]
-                term *= factor
-                npow = mp.mpf(1)
+                term = mpf_mul(_stirling_dot(row, w), factor, prec, rnd)
+                npow = fone
                 for m in range(m_max + 1):
-                    sums[m] += term * npow
-                    npow *= n
+                    sums[m] = mpf_add(sums[m], mpf_mul(term, npow, prec, rnd), prec, rnd)
+                    npow = mpf_mul_int(npow, n, prec, rnd)
                 nxt = [0] * (n + 2)
                 for j, c in enumerate(row):
                     if c:
                         nxt[j + 1] += c
                         nxt[j] += n * c
                 row = nxt
-                factor *= q / (n + 1)
-            return sums, cutoff
+                factor = mpf_mul(factor, mpf_div(q, from_int(n + 1), prec, rnd), prec, rnd)
+            return [mp.make_mpf(v) for v in sums], cutoff
 
     # -- literal (closed-form) pmf and moments --------------------------------
 
@@ -341,7 +390,16 @@ class MeasureModel:
             if s <= 0:
                 raise DomainError("the mixing density lives on s > 0")
             shape, scale, norm = law
-            return s ** (shape - 1) * mpmath.e ** (-s / scale) / norm
+            return s ** (shape - 1) * _e_pow(-s / scale) / norm
+
+    def _node_density(self, s, law):
+        # mixture_pmfs and gamma_laplaces integrate over one interval at the
+        # model's precision, so they visit the same nodes: one density per node
+        # per model, a pure function of s
+        density = self._densities.get(s)
+        if density is None:
+            density = self._densities[s] = self._density(s, law)
+        return density
 
     def mixture_density(self, s):
         """Gamma density with shape -beta/lam and scale -lam (the mixing law)."""
@@ -355,24 +413,17 @@ class MeasureModel:
         """``gamma_laplace`` at each x of ``xs``.
 
         The integrals share one interval and one working precision, so they
-        visit the same nodes; the density is kept per node for the length of
-        the call.
+        visit the same nodes; the density is kept per node on the model.
         """
         law = self._mixing_law()
         shape, scale, _ = law
         with self._dps():
             mean = shape * scale
-            densities = {}  # s -> density at s
-
-            def density(s):
-                if s not in densities:
-                    densities[s] = self._density(s, law)
-                return densities[s]
 
             def transform(x):
                 x = to_mpf(x)
                 return mpmath.quad(
-                    lambda s: mpmath.e ** (-s * x) * density(s), [0, mean, mpmath.inf]
+                    lambda s: _e_pow(-s * x) * self._node_density(s, law), [0, mean, mpmath.inf]
                 )
 
             return [transform(x) for x in xs]
@@ -384,8 +435,8 @@ class MeasureModel:
         Each mass integrates the Pascal mass at n with rate parameter r*s
         over the Gamma mixing law.  All the integrals share one interval and
         one working precision, so they visit the same nodes; the n-free part
-        of the integrand (loggamma(r*s), r*s*log p and the density) is kept
-        per node for the length of the call.
+        of the integrand (loggamma(r*s) and r*s*log p) is kept per node for
+        the length of the call, and the density per node on the model.
         """
         ns = list(ns)
         if any(n < 0 for n in ns):
@@ -403,7 +454,7 @@ class MeasureModel:
             def n_free(s):
                 if s not in nodes:
                     rs = r * s
-                    nodes[s] = (mpmath.loggamma(rs), rs * logp, self._density(s, law))
+                    nodes[s] = (mpmath.loggamma(rs), rs * logp, self._node_density(s, law))
                 return nodes[s]
 
             def mass(n):
@@ -414,7 +465,7 @@ class MeasureModel:
                         return mp.mpf(0)
                     lg, rslogp, density = n_free(s)
                     lognb = mpmath.loggamma(n + r * s) - lg - lognfact + rslogp + n * logq
-                    return mpmath.e**lognb * density
+                    return _e_pow(lognb) * density
 
                 return mpmath.quad(integrand, [0, mean, mpmath.inf])
 

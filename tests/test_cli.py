@@ -104,6 +104,21 @@ class TestConfig:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
 
+    def test_moments_checks_literal_domain_before_sums(self, tmp_path, capsys, monkeypatch):
+        # the literal column's domain is known without the support sums, which
+        # at this point run 1461 support points before the literal fails
+        from degenkraw.measure import MeasureModel
+
+        def no_sums(self, m_max):
+            raise AssertionError("the moment sums ran before the literal domain check")
+
+        monkeypatch.setattr(MeasureModel, "truncated_moment_sums", no_sums)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"lambda": "-10", "beta": "1", "p": "1/10", "r": "1/100"}))
+        assert main(["moments", "--digits", "40", "--params", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: literal moment undefined for these parameters\n")
+
 
 class TestPolysCommand:
     def test_csv_rows(self):

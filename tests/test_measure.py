@@ -1,17 +1,20 @@
 """Measure-side checks: pmf variants, Laplace transform, moments, mixture."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 from mpmath import mp
 
-from degenkraw.combinat import bell_partial, deg_falling
+from degenkraw.combinat import bell_partial, deg_falling, stirling1_unsigned
 from degenkraw.measure import (
+    _GUARD_DIGITS,
     DomainError,
     MeasureModel,
     Params,
+    _e_pow,
     classical_pmf,
     deg_exp,
     deg_exp_series,
@@ -19,11 +22,56 @@ from degenkraw.measure import (
 )
 from degenkraw.series import TSeries
 
-from conftest import SET_C
+from conftest import ALL_SETS, SET_C
 
 
 def mpf10(e):
     return mpmath.mpf(10) ** e
+
+
+# The mpf-object loops that pmf and truncated_moment_sums ran before the raw
+# libmp kernel: oracles for its bits, term for term.
+
+def _pmf_by_mpf_terms(model, n):
+    w = model._phi_weights(n)
+    with model._dps():
+        q = to_mpf(model.params.q)
+        acc = mp.mpf(0)
+        for j in range(n + 1):
+            acc += to_mpf(stirling1_unsigned(n, j)) * w[j]
+        return acc * q**n / to_mpf(math.factorial(n))
+
+
+def _moment_sums_by_mpf_terms(model, m_max):
+    cutoff = model.adaptive_cutoff(m_max)
+    w = model._phi_weights(cutoff)
+    with mp.workdps(model.precision + 2 * _GUARD_DIGITS):
+        q = to_mpf(model.params.q)
+        sums = [mp.mpf(0) for _ in range(m_max + 1)]
+        row = [1]
+        factor = mp.mpf(1)
+        for n in range(cutoff + 1):
+            term = mp.mpf(0)
+            for j, c in enumerate(row):
+                if c:
+                    term += to_mpf(c) * w[j]
+            term *= factor
+            npow = mp.mpf(1)
+            for m in range(m_max + 1):
+                sums[m] += term * npow
+                npow *= n
+            nxt = [0] * (n + 2)
+            for j, c in enumerate(row):
+                if c:
+                    nxt[j + 1] += c
+                    nxt[j] += n * c
+            row = nxt
+            factor *= q / (n + 1)
+        return sums, cutoff
+
+
+def _bits(values):
+    return [v._mpf_ for v in values]
 
 
 class TestParams:
@@ -152,6 +200,45 @@ class TestCanonicalPmf:
             MeasureModel(set_a).mixture_pmfs([-1])
 
 
+class TestLibmpKernels:
+    """The raw libmp kernels give the bits of the mpf expressions they replace."""
+
+    @pytest.mark.parametrize("digits", [40, 60, 120, 200])
+    @pytest.mark.parametrize("outer", [None, 300], ids=["bare", "outer300"])
+    def test_pmf_is_bit_identical(self, params, digits, outer):
+        # row 60's Stirling entries reach 270 bits, wider than the 186-bit
+        # working precision at 40 digits; an outer precision must not leak in
+        model = MeasureModel(params, digits)
+        with mp.workdps(outer or mp.dps):
+            got = _bits(model.pmf(n) for n in range(61))
+            assert got == _bits(_pmf_by_mpf_terms(model, n) for n in range(61))
+
+    @pytest.mark.parametrize("name", list(ALL_SETS))
+    @pytest.mark.parametrize("digits", [40, 60])
+    @pytest.mark.parametrize("outer", [None, 300], ids=["bare", "outer300"])
+    def test_moment_sums_are_bit_identical(self, name, digits, outer):
+        model = MeasureModel(ALL_SETS[name], digits)
+        with mp.workdps(outer or mp.dps):
+            for m_max in (0, 3, 8):  # the cutoff grows with m_max
+                sums, cutoff = model.truncated_moment_sums(m_max)
+                expected, expected_cutoff = _moment_sums_by_mpf_terms(model, m_max)
+                assert cutoff == expected_cutoff
+                assert _bits(sums) == _bits(expected)
+
+    @pytest.mark.parametrize("bits", [50, 200, 700])
+    def test_e_pow_is_bit_identical(self, bits):
+        rng = random.Random(20261018 + bits)
+        with mp.workprec(bits):
+            special = [0, 1, mp.mpf(1) / 2, 3, "1e-30", "123.456", 10**5]
+            ys = [mp.mpf(v) * sign for v in special for sign in (1, -1)]
+            ys += [mpmath.inf, -mpmath.inf, mpmath.nan, mp.mpf(7) / 2, mp.mpf(-5) / 4]
+            for _ in range(200):  # magnitudes from 2^-bits to 2^9, either sign
+                man = rng.getrandbits(bits) * rng.choice((1, -1))
+                ys.append(mpmath.ldexp(mp.mpf(man), rng.randint(-2 * bits, -bits + 9)))
+            for y in ys:
+                assert _e_pow(y)._mpf_ == (mpmath.e**y)._mpf_, y
+
+
 class TestLiteralPmf:
     def test_value_at_zero(self, params):
         model = MeasureModel(params)
@@ -278,6 +365,17 @@ class TestMixtureDensity:
         single = [model.gamma_laplace(x)._mpf_ for x in xs]
         assert [v._mpf_ for v in model.gamma_laplaces(xs)] == single
         assert [v._mpf_ for v in model.gamma_laplaces(xs[::-1])] == single[::-1]
+
+    def test_node_densities_shared_across_quadratures(self):
+        # mixture_pmfs fills the model's per-node density table first; the
+        # transforms that then read it keep every bit of a fresh model's
+        model = MeasureModel(SET_C, 40)
+        model.mixture_pmfs(range(4))
+        filled = len(model._densities)
+        xs = [F(1, 2), F(1), F(2)]
+        fresh = MeasureModel(SET_C, 40)
+        assert _bits(model.gamma_laplaces(xs)) == _bits(fresh.gamma_laplaces(xs))
+        assert filled > 0 and len(model._densities) == len(fresh._densities)
 
     def test_domain(self, set_a):
         with pytest.raises(DomainError):
