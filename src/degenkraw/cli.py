@@ -124,7 +124,7 @@ def _real_str(x, digits: int = 25) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_polys(config: Config, route: str) -> str:
-    fam = family(config.params, config.n_max, route, config.series_order)
+    fam = family(config.params, config.n_max, route)
     rows = [
         {
             "route": fam.route,

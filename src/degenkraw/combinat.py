@@ -63,24 +63,25 @@ class GrowingTable:
 # Stirling numbers (triangular tables, grown on demand)
 # ---------------------------------------------------------------------------
 
-def _stirling_rows(weight: Callable[[int, int], int]) -> GrowingTable:
-    """Rows of T(m, k) = T(m-1, k-1) + weight(m, k) T(m-1, k) with T(0, 0) = 1."""
-
-    def next_row(rows):
-        m = len(rows)
-        if m == 0:
-            return (1,)
-        prev = rows[m - 1]
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            row[k] = prev[k - 1] + (weight(m, k) * prev[k] if k < m else 0)
-        return tuple(row)
-
-    return GrowingTable(next_row)
+def _next_c1_row(row: tuple) -> tuple:
+    """Row m+1 of the unsigned Stirling numbers of the first kind from row m:
+    c(m+1, k) = c(m, k-1) + m c(m, k)."""
+    m = len(row) - 1
+    return tuple(a + m * b for a, b in zip((0,) + row, row + (0,)))
 
 
-_S2_ROWS = _stirling_rows(lambda m, k: k)
-_C1_ROWS = _stirling_rows(lambda m, k: m - 1)
+def _next_s2_row(row: tuple) -> tuple:
+    # S(m+1, k) = S(m, k-1) + k S(m, k)
+    return tuple(a + k * b for k, (a, b) in enumerate(zip((0,) + row, row + (0,))))
+
+
+def _stirling_rows(step: Callable[[tuple], tuple]) -> GrowingTable:
+    """Rows 0, 1, ... of a Stirling triangle with T(0, 0) = 1, each grown by `step`."""
+    return GrowingTable(lambda rows: step(rows[-1]) if rows else (1,))
+
+
+_S2_ROWS = _stirling_rows(_next_s2_row)
+_C1_ROWS = _stirling_rows(_next_c1_row)
 
 
 def stirling2(n: int, k: int) -> int:

@@ -7,6 +7,8 @@ The file carries the model parameters as exact fraction strings, e.g.
      "seed": 42, "output_format": "json"}
 
 q is derived as 1 - p.  Flags override file values field by field.
+When neither the file nor a flag sets series_order, it is
+max(16, n_max + 2).
 
 The module also holds the exact side of the model, which needs no
 floating point: the parameters (``Params``), the exact Taylor series of
@@ -22,7 +24,9 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
+from .combinat import _TABLES
 from .series import TSeries, as_fraction, expm1_series
 
 
@@ -84,8 +88,10 @@ def deg_exp_series(u: TSeries, params: Params) -> TSeries:
     return (params.lam * u + 1).fracpow(params.beta / params.lam)
 
 
+@lru_cache(maxsize=_TABLES)
 def laplace_series(params: Params, order: int) -> TSeries:
-    """Exact Taylor series in z of the measure's Laplace transform.
+    """Exact Taylor series in z of the measure's Laplace transform; the last
+    _TABLES (point, order) pairs are kept.
 
     Uses r*log(p/(1 - q*e^z)) = -r*log(1 - (q/p)(e^z - 1)), whose inner
     series has rational coefficients and zero constant term.
@@ -111,25 +117,26 @@ _DEFAULTS = {
     "p": "3/5",
     "r": "3",
     "n_max": 10,
-    "series_order": 16,
     "precision_digits": 60,
     "seed": 42,
     "output_format": "json",
 }
 
-_KNOWN_KEYS = set(_DEFAULTS)
+_KNOWN_KEYS = {*_DEFAULTS, "series_order"}
 
 
 @dataclass(frozen=True)
 class Config:
     params: Params
     n_max: int = 10
-    series_order: int = 16
+    series_order: int | None = None  # None: max(16, n_max + 2)
     precision_digits: int = 60
     seed: int = 42
     output_format: str = "json"
 
     def __post_init__(self):
+        if self.series_order is None:
+            object.__setattr__(self, "series_order", max(16, self.n_max + 2))
         if self.series_order < self.n_max + 2:
             raise ConfigError("series_order must be at least n_max + 2")
         if self.precision_digits < 40:
@@ -178,7 +185,7 @@ def config_from_dict(data: dict) -> Config:
         return Config(
             params=params,
             n_max=int(merged["n_max"]),
-            series_order=int(merged["series_order"]),
+            series_order=int(merged["series_order"]) if "series_order" in merged else None,
             precision_digits=int(merged["precision_digits"]),
             seed=int(merged["seed"]),
             output_format=str(merged["output_format"]),
@@ -210,6 +217,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Confi
             merged.update({k: v for k, v in overrides.items() if k in model_keys})
             cfg = config_from_dict(merged)
         simple = {k: v for k, v in overrides.items() if k not in model_keys}
+        if "n_max" in simple and "series_order" not in data:
+            simple.setdefault("series_order", None)
         if simple:
             try:
                 cfg = replace(cfg, **simple)

@@ -29,17 +29,16 @@ replaces.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import fone, from_int, fzero, mpf_add, mpf_div, mpf_e, mpf_exp, mpf_log
 from mpmath.libmp import mpf_mul, mpf_mul_int
 
-from .combinat import _TABLES, deg_falling, stirling1_unsigned, stirling2
+from .combinat import _C1_ROWS, _TABLES, GrowingTable, _next_c1_row, deg_falling, stirling2
 # the exact side of the model and DomainError live in config, free of mpmath;
 # re-exported here
 from .config import DomainError, Params, deg_exp_series, exact_moments, laplace_series
@@ -133,13 +132,6 @@ def classical_pmf(n: int, p, r, digits: int = DEFAULT_DIGITS):
 # the measure model
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=_TABLES)
-def _laplace_series(params: Params, order: int):
-    """``laplace_series``, shared by every model at a parameter point; the last
-    _TABLES (point, order) pairs are kept."""
-    return laplace_series(params, order)
-
-
 @dataclass
 class MeasureModel:
     """Degenerate Pascal measure at a parameter point, with numeric caches.
@@ -147,43 +139,48 @@ class MeasureModel:
     ``precision`` is the number of working decimal digits for every
     transcendental evaluation (at least 40).  The pmf support cutoff is
     chosen adaptively so a computed geometric tail bound drops below
-    10^-(precision/2).
+    10^-(precision/2).  Models compare equal by point and precision; the
+    caches and the constants, computed once on first use, take no part.
     """
 
     params: Params
     precision: int = DEFAULT_DIGITS
-    _phi: list = field(default_factory=list, repr=False)
-    _densities: dict = field(default_factory=dict, repr=False)  # quadrature node s -> density
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    _phi: GrowingTable = field(init=False, compare=False, repr=False)
+    _densities: dict = field(default_factory=dict, compare=False, repr=False)  # node s -> density
 
     def __post_init__(self):
         if self.precision < 40:
             raise ValueError("precision must be at least 40 digits")
+        self._phi = GrowingTable(self._next_phi)
 
     # -- helpers ------------------------------------------------------------
 
     def _dps(self):
         return mp.workdps(self.precision + _GUARD_DIGITS)
 
+    @cached_property
     def _log_p(self):
-        return mpmath.log(to_mpf(self.params.p))
+        with self._dps():
+            return mpmath.log(to_mpf(self.params.p))
 
-    def _base_a(self):
+    @cached_property
+    def _a(self):
         # a = 1 + lam * r * log p  (> 1 under the parameter invariants)
-        return 1 + to_mpf(self.params.lam) * to_mpf(self.params.r) * self._log_p()
+        with self._dps():
+            return 1 + to_mpf(self.params.lam) * to_mpf(self.params.r) * self._log_p
+
+    def _next_phi(self, done: list):
+        # w_0 = a^(beta/lam), w_{j+1} = w_j * r (beta - j*lam) / a
+        p = self.params
+        with self._dps():
+            if not done:
+                return mpmath.power(self._a, to_mpf(p.beta / p.lam))
+            j = len(done) - 1
+            return done[-1] * (to_mpf(p.r) * to_mpf(p.beta - j * p.lam) / self._a)
 
     def _phi_weights(self, jmax: int) -> list:
-        """w_j = r^j (beta)_{j,lam} a^(beta/lam - j), extended on demand."""
-        if len(self._phi) <= jmax:
-            with self._lock, self._dps():
-                a = self._base_a()
-                if not self._phi:
-                    self._phi.append(mpmath.power(a, to_mpf(self.params.beta / self.params.lam)))
-                while len(self._phi) <= jmax:
-                    j = len(self._phi) - 1
-                    step = to_mpf(self.params.r) * to_mpf(self.params.beta - j * self.params.lam) / a
-                    self._phi.append(self._phi[-1] * step)
-        return self._phi
+        """w_j = r^j (beta)_{j,lam} a^(beta/lam - j) for j = 0..jmax."""
+        return [self._phi[j] for j in range(jmax + 1)]
 
     # -- canonical pmf -------------------------------------------------------
 
@@ -201,7 +198,7 @@ class MeasureModel:
         w = self._phi_weights(n)
         with self._dps():
             q = to_mpf(self.params.q)
-            acc = mp.make_mpf(_stirling_dot([stirling1_unsigned(n, j) for j in range(n + 1)], w))
+            acc = mp.make_mpf(_stirling_dot(_C1_ROWS[n], w))
             return acc * q**n / to_mpf(math.factorial(n))
 
     def pgf(self, x):
@@ -222,9 +219,12 @@ class MeasureModel:
             ex = mpmath.e ** (1 / (to_mpf(self.params.lam) * to_mpf(self.params.r)))
             return (1 - to_mpf(self.params.p) * ex) / to_mpf(self.params.q)
 
+    @cached_property
     def _tail_anchor(self):
-        # evaluation point three quarters of the way to the singularity
-        return 1 + mp.mpf(3) / 4 * (self.singularity() - 1)
+        """(x0, pgf(x0)) for x0 three quarters of the way to the singularity."""
+        with self._dps():
+            x0 = 1 + mp.mpf(3) / 4 * (self.singularity() - 1)
+            return x0, self.pgf(x0)
 
     def tail_bound(self, cutoff: int, m: int):
         """Upper bound for sum_{n > cutoff} n^m pmf(n).
@@ -235,8 +235,7 @@ class MeasureModel:
         below pgf(x0) (cutoff+1)^m x0^(-(cutoff+1)) / (1 - rho).
         """
         with self._dps():
-            x0 = self._tail_anchor()
-            amplitude = self.pgf(x0)
+            x0, amplitude = self._tail_anchor
             n0 = mp.mpf(cutoff + 1)
             rho = mpmath.e ** (mp.mpf(m) / n0) / x0
             if rho >= 1:
@@ -247,7 +246,7 @@ class MeasureModel:
         """Smallest support cutoff whose tail bound is below 10^-(precision/2)."""
         with self._dps():
             target = mpmath.power(10, -mp.mpf(self.precision) / 2)
-            log_x0 = mpmath.log(self._tail_anchor())
+            log_x0 = mpmath.log(self._tail_anchor[0])
             n = max(8, int(mpmath.ceil(m_max / log_x0)) + 1)
             while self.tail_bound(n, m_max) >= target:
                 n += max(4, n // 8)
@@ -256,10 +255,11 @@ class MeasureModel:
     def truncated_moment_sums(self, m_max: int) -> tuple[list, int]:
         """One pass over the adaptive support: returns ([sum n^m pmf(n)]_{m<=m_max}, cutoff).
 
-        Streams the unsigned-Stirling rows so nothing quadratic in the
-        cutoff is retained.  The arithmetic runs on raw libmp tuples, one
-        call per mpf operation: term = dot * factor, sums[m] += term * npow,
-        npow *= n and factor *= q / (n + 1).
+        Streams the unsigned-Stirling rows with the step that grows
+        combinat's table, so nothing quadratic in the cutoff is retained.
+        The arithmetic runs on raw libmp tuples, one call per mpf operation:
+        term = dot * factor, sums[m] += term * npow, npow *= n and
+        factor *= q / (n + 1).
         """
         cutoff = self.adaptive_cutoff(m_max)
         w = self._phi_weights(cutoff)
@@ -267,7 +267,7 @@ class MeasureModel:
             prec, rnd = mp._prec_rounding
             q = to_mpf(self.params.q)._mpf_
             sums = [fzero] * (m_max + 1)
-            row = [1]  # unsigned Stirling row c(0, .)
+            row = (1,)  # unsigned Stirling row c(0, .)
             factor = fone  # q^n / n!
             for n in range(cutoff + 1):
                 term = mpf_mul(_stirling_dot(row, w), factor, prec, rnd)
@@ -275,12 +275,7 @@ class MeasureModel:
                 for m in range(m_max + 1):
                     sums[m] = mpf_add(sums[m], mpf_mul(term, npow, prec, rnd), prec, rnd)
                     npow = mpf_mul_int(npow, n, prec, rnd)
-                nxt = [0] * (n + 2)
-                for j, c in enumerate(row):
-                    if c:
-                        nxt[j + 1] += c
-                        nxt[j] += n * c
-                row = nxt
+                row = _next_c1_row(row)
                 factor = mpf_mul(factor, mpf_div(q, from_int(n + 1), prec, rnd), prec, rnd)
             return [mp.make_mpf(v) for v in sums], cutoff
 
@@ -294,7 +289,7 @@ class MeasureModel:
         if n < 0:
             raise ValueError("support is the nonnegative integers")
         with self._dps():
-            a = self._base_a()
+            a = self._a
             val = to_mpf(self.params.q) ** n / to_mpf(math.factorial(n))
             val *= to_mpf(deg_falling(self.params.beta, n, self.params.lam))
             return val * mpmath.power(a, to_mpf(self.params.beta / self.params.lam) - n)
@@ -302,7 +297,7 @@ class MeasureModel:
     def literal_mass(self):
         """Closed-form total mass of the literal pmf: (1 + lam*(r*log p + q))^(beta/lam)."""
         with self._dps():
-            arg = to_mpf(self.params.r) * self._log_p() + to_mpf(self.params.q)
+            arg = to_mpf(self.params.r) * self._log_p + to_mpf(self.params.q)
             return deg_exp(arg, self.params, self.precision)
 
     def literal_moment_sums(self, m_max: int) -> list:
@@ -311,8 +306,11 @@ class MeasureModel:
         The term ratio tends to |lam| q / a, so the series only converges
         when that limit is below 1.
         """
+        p = self.params
         with mp.workdps(self.precision + 2 * _GUARD_DIGITS):
-            ratio_limit = abs(to_mpf(self.params.lam)) * to_mpf(self.params.q) / self._base_a()
+            # a at this precision, not the model's
+            a = 1 + to_mpf(p.lam) * to_mpf(p.r) * mpmath.log(to_mpf(p.p))
+            ratio_limit = abs(to_mpf(p.lam)) * to_mpf(p.q) / a
             if ratio_limit >= 1:
                 raise DomainError("the literal pmf series diverges for these parameters")
             sums = [mp.mpf(0) for _ in range(m_max + 1)]
@@ -338,7 +336,7 @@ class MeasureModel:
         if m < 1:
             raise ValueError("the closed-form moment is defined for m >= 1 only")
         with self._dps():
-            a = self._base_a()
+            a = self._a
             x = to_mpf(self.params.q) / a
             inner_base = 1 + to_mpf(self.params.lam) * x
             if inner_base <= 0:
@@ -357,117 +355,96 @@ class MeasureModel:
     # -- Laplace transform ----------------------------------------------------
 
     def laplace(self, z):
-        """Numeric Laplace transform (1 + lam*r*log(p/(1-q e^z)))^(beta/lam); |q e^z| < 1."""
+        """Numeric Laplace transform (1 + lam*r*log(p/(1-q e^z)))^(beta/lam), the
+        generating function at e^z; real z with q e^z < 1."""
         with self._dps():
-            z = to_mpf(z)
-            qez = to_mpf(self.params.q) * mpmath.e**z
-            if abs(qez) >= 1:
-                raise DomainError("Laplace transform undefined: |q e^z| >= 1")
-            arg = to_mpf(self.params.r) * mpmath.log(to_mpf(self.params.p) / (1 - qez))
-            return deg_exp(arg, self.params, self.precision)
+            return self.pgf(mpmath.e ** to_mpf(z))
 
     def moment_exact(self, m: int) -> Fraction:
         """m-th moment as an exact rational: m! times the Laplace series coefficient."""
         if m < 0:
             raise ValueError("moment order must be nonnegative")
-        return math.factorial(m) * _laplace_series(self.params, max(m, 8)).coeff(m)
+        return math.factorial(m) * laplace_series(self.params, max(m, 8)).coeff(m)
 
     # -- Gamma mixture ---------------------------------------------------------
 
-    def _mixing_law(self):
-        """(shape, scale, norm) of the mixing law: shape -beta/lam, scale -lam
-        and the density's normalizer norm = gamma(shape) * scale^shape."""
+    @cached_property
+    def _law(self):
+        """(shape, scale, norm, mean) of the mixing law: shape -beta/lam, scale
+        -lam, the density's normalizer norm = gamma(shape) * scale^shape and
+        the mean shape * scale."""
         with self._dps():
             shape = -to_mpf(self.params.beta / self.params.lam)
             scale = -to_mpf(self.params.lam)
-            return shape, scale, mpmath.gamma(shape) * scale**shape
+            return shape, scale, mpmath.gamma(shape) * scale**shape, shape * scale
 
-    def _density(self, s, law):
+    def mixture_density(self, s):
+        """Gamma density with shape -beta/lam and scale -lam (the mixing law)."""
         # at the model's precision, also inside quadrature, which raises the
         # working precision by 20 bits: the audit's residuals show the difference
         with self._dps():
             s = to_mpf(s)
             if s <= 0:
                 raise DomainError("the mixing density lives on s > 0")
-            shape, scale, norm = law
+            shape, scale, norm, _ = self._law
             return s ** (shape - 1) * _e_pow(-s / scale) / norm
 
-    def _node_density(self, s, law):
-        # mixture_pmfs and gamma_laplaces integrate over one interval at the
-        # model's precision, so they visit the same nodes: one density per node
-        # per model, a pure function of s
-        density = self._densities.get(s)
-        if density is None:
-            density = self._densities[s] = self._density(s, law)
-        return density
+    def _integrate(self, f):
+        """quad(f(s) * density(s)) over [0, mean, inf] at the model's precision:
+        every such integral visits the same nodes, so one density per node is
+        kept on the model."""
 
-    def mixture_density(self, s):
-        """Gamma density with shape -beta/lam and scale -lam (the mixing law)."""
-        return self._density(s, self._mixing_law())
+        def integrand(s):
+            density = self._densities.get(s)
+            if density is None:
+                density = self._densities[s] = self.mixture_density(s)
+            return f(s) * density
+
+        with self._dps():
+            mean = self._law[3]
+            return mpmath.quad(integrand, [0, mean, mpmath.inf])
 
     def gamma_laplace(self, x):
         """Numeric integral of e^{-s x} against the mixing density."""
         return self.gamma_laplaces([x])[0]
 
     def gamma_laplaces(self, xs) -> list:
-        """``gamma_laplace`` at each x of ``xs``.
+        """``gamma_laplace`` at each x of ``xs``, sharing the node densities."""
 
-        The integrals share one interval and one working precision, so they
-        visit the same nodes; the density is kept per node on the model.
-        """
-        law = self._mixing_law()
-        shape, scale, _ = law
+        def transform(x):
+            return self._integrate(lambda s: _e_pow(-s * x))
+
         with self._dps():
-            mean = shape * scale
-
-            def transform(x):
-                x = to_mpf(x)
-                return mpmath.quad(
-                    lambda s: _e_pow(-s * x) * self._node_density(s, law), [0, mean, mpmath.inf]
-                )
-
-            return [transform(x) for x in xs]
+            return [transform(to_mpf(x)) for x in xs]
 
     def mixture_pmfs(self, ns) -> list:
         """Canonical masses at each n of ``ns``, reconstructed by quadrature
         against the mixing density; the independent oracle for ``pmf``.
 
         Each mass integrates the Pascal mass at n with rate parameter r*s
-        over the Gamma mixing law.  All the integrals share one interval and
-        one working precision, so they visit the same nodes; the n-free part
-        of the integrand (loggamma(r*s) and r*s*log p) is kept per node for
-        the length of the call, and the density per node on the model.
+        over the Gamma mixing law.  The n-free part of the Pascal mass
+        (loggamma(r*s) and r*s*log p) is kept per node for the length of
+        the call.
         """
         ns = list(ns)
         if any(n < 0 for n in ns):
             raise ValueError("support is the nonnegative integers")
-        law = self._mixing_law()
-        shape, scale, _ = law
         with self._dps():
-            q = to_mpf(self.params.q)
-            logp = self._log_p()
-            logq = mpmath.log(q)
+            logq = mpmath.log(to_mpf(self.params.q))
             r = to_mpf(self.params.r)
-            mean = shape * scale
-            nodes = {}  # s -> (loggamma(r*s), r*s*log p, density at s)
-
-            def n_free(s):
-                if s not in nodes:
-                    rs = r * s
-                    nodes[s] = (mpmath.loggamma(rs), rs * logp, self._node_density(s, law))
-                return nodes[s]
+            nodes = {}  # s -> (loggamma(r*s), r*s*log p)
 
             def mass(n):
                 lognfact = mpmath.loggamma(n + 1)
 
-                def integrand(s):
-                    if s <= 0:
-                        return mp.mpf(0)
-                    lg, rslogp, density = n_free(s)
-                    lognb = mpmath.loggamma(n + r * s) - lg - lognfact + rslogp + n * logq
-                    return _e_pow(lognb) * density
+                def pascal(s):
+                    if s not in nodes:
+                        rs = r * s
+                        nodes[s] = (mpmath.loggamma(rs), rs * self._log_p)
+                    lg, rslogp = nodes[s]
+                    return _e_pow(mpmath.loggamma(n + r * s) - lg - lognfact + rslogp + n * logq)
 
-                return mpmath.quad(integrand, [0, mean, mpmath.inf])
+                return self._integrate(pascal)
 
             return [mass(n) for n in ns]
 
@@ -515,11 +492,10 @@ class MeasureModel:
             q = to_mpf(self.params.q)
             r = to_mpf(self.params.r)
             w_prod = ((1 + s) / (1 + q * s)) * ((1 + t) / (1 + q * t))
-            x0 = self._tail_anchor()
+            x0, big_c = self._tail_anchor
             rho = abs(w_prod) / x0
             if rho >= 1:
                 raise DomainError("no geometric tail control at these points")
-            big_c = self.pgf(x0)
             den = deg_exp(r * mpmath.log(1 + q * s), self.params, self.precision) * deg_exp(
                 r * mpmath.log(1 + q * t), self.params, self.precision
             )

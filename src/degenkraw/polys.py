@@ -28,7 +28,6 @@ from functools import lru_cache
 
 from .combinat import (
     _TABLES,
-    bell_triangle,
     bracket_y,
     deg_falling,
     epsilon,
@@ -148,16 +147,6 @@ def coeff_table(n_max: int, params: Params) -> CoeffTable:
     )
 
 
-def _bell_constants(args, n_max: int) -> list[Fraction]:
-    """A_j = sum_i (-1)^i i! B_{j,i}(args[1], args[2], ...) for j <= n_max,
-    from one partial Bell triangle."""
-    rows = bell_triangle(args[1:])
-    return [
-        sum(Fraction((-1) ** i * math.factorial(i)) * rows[j][i] for i in range(j + 1))
-        for j in range(n_max + 1)
-    ]
-
-
 def _as_xpoly(c) -> XPoly:
     return c if isinstance(c, XPoly) else XPoly.const(c)
 
@@ -181,19 +170,11 @@ def _triangular_sums(weight, basis) -> tuple[XPoly, ...]:
 # Every route below keeps its families of the last _TABLES argument tuples
 # (parameter point, n_max, ...), as combinat keeps its tables.
 
-def _series_order(n_max: int, order: int | None) -> int:
-    """Truncation order with family headroom: defaults to n_max + 2."""
-    if order is None:
-        return n_max + 2
-    if order < n_max + 2:
-        raise ValueError("series order must be at least n_max + 2")
-    return order
-
-
 @lru_cache(maxsize=_TABLES)
-def K_series(params: Params, n_max: int, order: int | None = None) -> PolyFamily:
-    """Canonical route: n! times the t^n coefficient of the generating series."""
-    order = _series_order(n_max, order)
+def K_series(params: Params, n_max: int) -> PolyFamily:
+    """Canonical route: n! times the t^n coefficient of the generating series,
+    truncated at order n_max + 2 (members through n_max do not depend on it)."""
+    order = n_max + 2
     psi = omega_power_series(params.q, order) * deg_exp_xi_series(params, order).reciprocal()
     members = tuple(_as_xpoly(math.factorial(n) * psi.coeff(n)) for n in range(n_max + 1))
     return PolyFamily(params, n_max, members, "series")
@@ -224,7 +205,8 @@ def K_from_P(params: Params, n_max: int) -> PolyFamily:
 def K_bell(params: Params, n_max: int, variant: str = "corrected") -> PolyFamily:
     """Partial-Bell-polynomial route through the values at 0 and the
     bracket factorials: K_n = sum_k binom(n,k) A_{n-k} [x]_k with
-    A_j = sum_i (-1)^i i! B_{j,i}(args).
+    A_j = sum_i (-1)^i i! B_{j,i}(args), the composition derivative with the
+    outer derivatives (-1)^i i! of 1/y at y = 1.
 
     variant="corrected" feeds the denominator derivatives mu_j (the
     arguments the derivation actually produces); variant="literal" feeds
@@ -236,7 +218,8 @@ def K_bell(params: Params, n_max: int, variant: str = "corrected") -> PolyFamily
         args = mu_coeffs(n_max + 1, params)
     else:
         args = exact_moments(params, n_max + 1)
-    consts = _bell_constants(args, n_max)
+    outer = [(-1) ** i * math.factorial(i) for i in range(n_max + 1)]
+    consts = [faa_derivative(outer, args, j) for j in range(n_max + 1)]
     members = _triangular_sums(
         lambda n, k: math.comb(n, k) * consts[n - k],
         [bracket_y(k, params.q) for k in range(n_max + 1)],
@@ -286,13 +269,13 @@ def K_stirling(params: Params, n_max: int, variant: str = "oracle") -> PolyFamil
 
 
 @lru_cache(maxsize=_TABLES)
-def classical_K(p, r, n_max: int, order: int | None = None) -> PolyFamily:
+def classical_K(p, r, n_max: int) -> PolyFamily:
     """Classical Krawtchouk family: n! [t^n] (1+t)^x (1+qt)^(-x-r); exact for rational r."""
     from .series import gen_binomial
 
     p, r = as_fraction(p), as_fraction(r)
     q = 1 - p
-    order = _series_order(n_max, order)
+    order = n_max + 2
     x = XPoly.x()
     a = TSeries([gen_binomial(x, n) for n in range(order + 1)], order)
     b = TSeries([gen_binomial(-x - r, n) * q**n for n in range(order + 1)], order)
@@ -306,9 +289,10 @@ def classical_K(p, r, n_max: int, order: int | None = None) -> PolyFamily:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=_TABLES)
-def P_series(params: Params, n_max: int, order: int | None = None) -> PolyFamily:
-    """Canonical route: n! [z^n] of e^(xz) times the reciprocal Laplace series."""
-    order = _series_order(n_max, order)
+def P_series(params: Params, n_max: int) -> PolyFamily:
+    """Canonical route: n! [z^n] of e^(xz) times the reciprocal Laplace series,
+    truncated at order n_max + 2."""
+    order = n_max + 2
     x = XPoly.x()
     exz = TSeries([x**n / math.factorial(n) for n in range(order + 1)], order)
     series = exz * laplace_series(params, order).reciprocal()
@@ -320,7 +304,9 @@ def P_series(params: Params, n_max: int, order: int | None = None) -> PolyFamily
 def P_bell(params: Params, n_max: int) -> PolyFamily:
     """Bell-polynomial route: P_n = sum_k binom(n,k) [sum_i (-1)^i i! B_{n-k,i}(M)] x^k,
     with M the exact moment vector."""
-    consts = _bell_constants(exact_moments(params, n_max + 1), n_max)
+    outer = [(-1) ** i * math.factorial(i) for i in range(n_max + 1)]
+    moments = exact_moments(params, n_max + 1)
+    consts = [faa_derivative(outer, moments, j) for j in range(n_max + 1)]
     x = XPoly.x()
     members = _triangular_sums(
         lambda n, k: math.comb(n, k) * consts[n - k], [x**k for k in range(n_max + 1)]
@@ -424,29 +410,25 @@ def addition_P4(n: int, params: Params) -> XYPoly:
 # route dispatch
 # ---------------------------------------------------------------------------
 
-# route name -> builder(params, n_max, order)
+# route name -> builder(params, n_max)
 _ROUTES = {
-    "series": lambda params, n_max, order: K_series(params, n_max, order),
-    "epsilon": lambda params, n_max, order: K_epsilon(params, n_max),
-    "from-p": lambda params, n_max, order: K_from_P(params, n_max),
-    "bell-corrected": lambda params, n_max, order: K_bell(params, n_max, "corrected"),
-    "bell-literal": lambda params, n_max, order: K_bell(params, n_max, "literal"),
-    "stirling-oracle": lambda params, n_max, order: K_stirling(params, n_max, "oracle"),
-    "stirling-literal": lambda params, n_max, order: K_stirling(params, n_max, "literal"),
-    "p-series": lambda params, n_max, order: P_series(params, n_max, order),
-    "p-bell": lambda params, n_max, order: P_bell(params, n_max),
-    "p-from-k": lambda params, n_max, order: P_from_K(params, n_max),
-    "p-stirling2": lambda params, n_max, order: P_from_K_stirling2(params, n_max),
-    "classical": lambda params, n_max, order: classical_K(params.p, params.r, n_max, order),
+    "series": K_series,
+    "epsilon": K_epsilon,
+    "from-p": K_from_P,
+    "bell-corrected": lambda params, n_max: K_bell(params, n_max, "corrected"),
+    "bell-literal": lambda params, n_max: K_bell(params, n_max, "literal"),
+    "stirling-oracle": lambda params, n_max: K_stirling(params, n_max, "oracle"),
+    "stirling-literal": lambda params, n_max: K_stirling(params, n_max, "literal"),
+    "p-series": P_series,
+    "p-bell": P_bell,
+    "p-from-k": P_from_K,
+    "p-stirling2": P_from_K_stirling2,
+    "classical": lambda params, n_max: classical_K(params.p, params.r, n_max),
 }
 
 
-def family(params: Params, n_max: int, route: str, order: int | None = None) -> PolyFamily:
-    """Build a family by route name (see K_ROUTES and P_ROUTES).
-
-    `order` is the shared series truncation order; routes that do not
-    expand series ignore it (their members are order-free).
-    """
+def family(params: Params, n_max: int, route: str) -> PolyFamily:
+    """Build a family by route name (see K_ROUTES and P_ROUTES)."""
     if route not in _ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    return _ROUTES[route](params, n_max, order)
+    return _ROUTES[route](params, n_max)

@@ -33,7 +33,8 @@ def sample(count: int, seed: int, model: MeasureModel) -> np.ndarray:
     scale = float(-p.lam)
     mix = gamma_rng.gamma(shape, scale, size=count)
     rate = gamma_rng.gamma(float(p.r) * mix, float(p.q / p.p))
-    return poisson_rng.poisson(rate).astype(np.int64)
+    # the Poisson draw is already int64: keep the dtype guarantee without a copy
+    return poisson_rng.poisson(rate).astype(np.int64, copy=False)
 
 
 def histogram(draws: np.ndarray) -> dict[int, int]:

@@ -76,6 +76,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"p": "not-a-number"})
 
+    def test_default_order_follows_n_max(self, config_file, capsys):
+        # unset by file and flags, series_order is max(16, n_max + 2); an
+        # order that is set stays as given and is still validated
+        assert config_from_dict({}).series_order == 16
+        assert config_from_dict({"n_max": 20}).series_order == 22
+        assert load_config(None, {"n_max": 14}).series_order == 16
+        assert load_config(None, {"n_max": 15}).series_order == 17
+        assert load_config(None, {"n_max": 15, "p": "1/2"}).series_order == 17
+        assert load_config(None, {"n_max": 15, "series_order": 30}).series_order == 30
+        with pytest.raises(ConfigError):
+            load_config(None, {"n_max": 15, "series_order": 16})
+        with pytest.raises(ConfigError):
+            load_config(config_file, {"n_max": 15})  # the file sets 16
+        assert main(["polys", "--n-max", "15"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["series_order"] == 17 and len(doc["rows"]) == 16
+        assert main(["polys", "--n-max", "15", "--order", "16"]) == 2
+        assert "series_order must be at least n_max + 2" in capsys.readouterr().err
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"lambda": "1"}')
@@ -350,7 +369,7 @@ class TestVerifyCommand:
     def test_broken_route_fails_naming_formula_id(self, config_file, capsys, monkeypatch):
         from degenkraw import polys
 
-        def broken(params, n_max, order):
+        def broken(params, n_max):
             members = list(polys.K_series(params, n_max).members)
             members[1] = members[1] + 1
             return polys.PolyFamily(params, n_max, tuple(members), "from-p")

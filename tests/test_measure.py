@@ -200,6 +200,37 @@ class TestCanonicalPmf:
             MeasureModel(set_a).mixture_pmfs([-1])
 
 
+class TestModelConstants:
+    def test_equality_is_point_and_precision(self, set_a):
+        # the caches hold only values of (point, precision), so they take no
+        # part in equality, before or after they grow
+        model, twin = MeasureModel(set_a, 40), MeasureModel(set_a, 40)
+        assert model == twin
+        model.pmf(12)
+        model.adaptive_cutoff(2)
+        model.gamma_laplace(F(1, 2))  # fills the per-node density table
+        assert model == twin and twin == model
+        assert model != MeasureModel(set_a, 41)
+        assert model != MeasureModel(SET_C, 40)
+        assert repr(model) == repr(twin)
+
+    def test_constants_computed_once(self, set_a, monkeypatch):
+        # the tail anchor's pgf value and the mixing law's gamma value are
+        # computed once per model, not at every step of the cutoff search
+        pgf_points, gamma_args = [], []
+        pgf, gamma = MeasureModel.pgf, mpmath.gamma
+        monkeypatch.setattr(
+            MeasureModel, "pgf", lambda self, x: pgf_points.append(x) or pgf(self, x)
+        )
+        monkeypatch.setattr(mpmath, "gamma", lambda z: gamma_args.append(z) or gamma(z))
+        model = MeasureModel(set_a, 40)
+        model.adaptive_cutoff(4)
+        model.tail_bound(50, 2)
+        for s in (F(1, 2), F(2)):
+            model.mixture_density(s)
+        assert len(pgf_points) == 1 and len(gamma_args) == 1
+
+
 class TestLibmpKernels:
     """The raw libmp kernels give the bits of the mpf expressions they replace."""
 
@@ -403,3 +434,25 @@ class TestJointFunctional:
             a = model.joint_laplace(F(1, 10), F(1, 5))
             b = model.joint_laplace(F(1, 50), F(1))
             assert abs(a - b) > mpf10(-6)
+
+
+class TestSampler:
+    def test_draws_are_not_copied(self, set_a):
+        # numpy's Poisson draw is already int64: the mixing, rate and draw
+        # arrays are the most that are alive at once, with no fourth copy
+        import tracemalloc
+
+        import numpy as np
+
+        from degenkraw.sampling import sample
+
+        count = 1_000_000
+        model = MeasureModel(set_a)
+        tracemalloc.start()
+        try:
+            draws = sample(count, 1, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert draws.dtype == np.int64 and draws.shape == (count,)
+        assert peak < 3.5 * count * 8
