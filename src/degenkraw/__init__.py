@@ -9,7 +9,6 @@ mpmath (``measure``) or numpy (``sampling``) are imported on first access
 from .combinat import (
     bell_partial,
     bracket_y,
-    compositions,
     deg_falling,
     epsilon,
     epsilon_closed,
@@ -41,7 +40,6 @@ from .operators import (
     translate,
 )
 from .polys import (
-    CoeffTable,
     K_bell,
     K_epsilon,
     K_from_P,
@@ -56,7 +54,6 @@ from .polys import (
     addition_P4,
     c_coeffs,
     classical_K,
-    coeff_table,
     family,
     monomial_from_K,
     mu_coeffs,

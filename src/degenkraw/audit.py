@@ -373,7 +373,8 @@ def _moment_oracle(c: RunContext):
 def _literal_internal_consistency(c: RunContext):
     model = c.model
     lit_sums = model.literal_moment_sums(6)
-    worst = abs(lit_sums[0] - model.literal_mass()) / model.literal_mass()
+    mass = model.literal_mass()
+    worst = abs(lit_sums[0] - mass) / mass
     for m in range(1, 7):
         lm = model.literal_moment(m)
         worst = max(worst, abs(lit_sums[m] - lm) / max(abs(lm), mp.mpf(1)))
@@ -418,8 +419,9 @@ def _gamma_mixing_transform(c: RunContext):
 
 def _joint_functional_oracle(c: RunContext):
     model, s, t = c.model, Fraction(1, 10), Fraction(1, 5)
-    sym_gap = abs(model.joint_laplace(s, t) - model.joint_laplace(t, s))
-    oracle_gap = abs(model.joint_laplace(s, t) - model.joint_laplace_oracle(s, t))
+    value = model.joint_laplace(s, t)
+    sym_gap = abs(value - model.joint_laplace(t, s))
+    oracle_gap = abs(value - model.joint_laplace_oracle(s, t))
     return _within(max(sym_gap, oracle_gap), 15, "includes the symmetry gap;")
 
 

@@ -13,12 +13,8 @@ The canonical definition of every coefficient family is its generating
 series.  One core computes them: the exponential Riordan array [1, X] of a
 series X(z) = sum_j x_j z^j / j!, whose entry (n, k) is n! [z^n] X^k / k!,
 the partial Bell polynomial B_{n,k}(x_1, x_2, ...).  varpi, varrho and
-bell_partial read it for X = theta, zeta and an argument vector, and every
-table grows on demand in time polynomial in n.  The composition and
-partition sums (``compositions``, ``bell_partial_by_partitions`` and the
-``*_by_compositions`` forms) take time that grows exponentially in n; they
-are test oracles, the independent reference the tests hold the tables to,
-and neither the routes nor the audit call them.
+bell_partial read it for X = theta, zeta and an exact argument vector, and
+every table grows on demand in time polynomial in n.
 """
 
 from __future__ import annotations
@@ -27,9 +23,9 @@ import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from .series import TSeries, XPoly, as_fraction, expm1_series, gen_binomial, log1p_scaled_series
+from .series import TSeries, XPoly, as_fraction, gen_binomial, log1p_scaled_series
 
 # Tables of each kind (one per q, or per Bell argument vector) kept at
 # once; each holds every row grown so far.
@@ -116,79 +112,6 @@ def stirling1(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# compositions and partial Bell polynomials
-# ---------------------------------------------------------------------------
-
-def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Ordered m-tuples of positive integers summing to n, lexicographic by first part.
-
-    Yields exactly binom(n-1, m-1) tuples; empty for m > n (not an error),
-    and for m == 0 only n == 0 produces the empty tuple.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("compositions requires nonnegative arguments")
-    if m == 0:
-        if n == 0:
-            yield ()
-        return
-    if m > n:
-        return
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(1, n - m + 2):
-        for rest in compositions(n - first, m - 1):
-            yield (first,) + rest
-
-
-def _bell_multiplicities(n: int, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Multiplicity patterns ((part, count), ...) with sum(count)=k, sum(part*count)=n."""
-
-    def rec(remaining_n, remaining_k, max_part):
-        if remaining_k == 0:
-            if remaining_n == 0:
-                yield ()
-            return
-        # parts are at least 1, so remaining_n >= remaining_k must hold
-        for part in range(min(max_part, remaining_n - remaining_k + 1), 0, -1):
-            for count in range(1, remaining_n // part + 1):
-                if count > remaining_k:
-                    break
-                for rest in rec(remaining_n - part * count, remaining_k - count, part - 1):
-                    yield ((part, count),) + rest
-
-    yield from rec(n, k, n - k + 1 if k else 0)
-
-
-def bell_partial_by_partitions(n: int, k: int, xs: Sequence):
-    """B_{n,k}(x_1, ..., x_{n-k+1}) summed over integer partitions, the
-    reference form the tests hold ``bell_partial`` to.
-
-    Sum over nonnegative multiplicities (i_1, ..., i_{n-k+1}) with
-    sum i_j = k and sum j*i_j = n of
-    n!/(i_1!...i_{n-k+1}!) * prod (x_j/j!)^{i_j}.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("bell_partial requires 0 <= k <= n")
-    if k == 0:
-        return Fraction(1) if n == 0 else Fraction(0)
-    if len(xs) < n - k + 1:
-        raise ValueError(f"bell_partial needs {n - k + 1} arguments, got {len(xs)}")
-    nfact = math.factorial(n)
-    total = None
-    for pattern in _bell_multiplicities(n, k):
-        weight = Fraction(nfact)
-        term = None
-        for part, count in pattern:
-            weight /= math.factorial(count) * math.factorial(part) ** count
-            for _ in range(count):
-                term = xs[part - 1] if term is None else term * xs[part - 1]
-        term = weight if term is None else weight * term
-        total = term if total is None else total + term
-    return Fraction(0) if total is None else total
-
-
-# ---------------------------------------------------------------------------
 # the exponential Riordan array [1, X]: partial Bell triangles
 # ---------------------------------------------------------------------------
 
@@ -230,26 +153,21 @@ def _exact_bell_triangle(xs: tuple, kinds: tuple) -> GrowingTable:
 
 
 def bell_triangle(xs: Sequence) -> GrowingTable:
-    """The partial Bell triangle of one argument vector: row n holds
-    B_{n,k}(xs) for k = 0..n.
+    """The partial Bell triangle of one exact argument vector (ints,
+    Fractions, XPoly values): row n holds B_{n,k}(xs) for k = 0..n.
 
-    Exact vectors (ints, Fractions, XPoly values) share a cached table.
-    Other values, such as mpmath floats, get a table of their own: its
-    entries depend on the working precision in force while it grows.
+    Equal vectors share a cached table; any other argument raises TypeError.
     """
     xs = tuple(xs)
     kinds = tuple(map(type, xs))
-    if all(issubclass(t, (int, Fraction, XPoly)) for t in kinds):
-        return _exact_bell_triangle(xs, kinds)
-    return riordan_triangle(lambda j: xs[j - 1], len(xs))
+    if not all(issubclass(t, (int, Fraction, XPoly)) for t in kinds):
+        raise TypeError("Bell triangles take exact arguments: ints, Fractions or XPoly values")
+    return _exact_bell_triangle(xs, kinds)
 
 
 def bell_partial(n: int, k: int, xs: Sequence):
-    """Partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}), read from the
-    triangle of `xs` (see ``bell_triangle``).
-
-    Arguments may be Fractions, XPoly values or mpmath floats.
-    """
+    """Partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}) of exact
+    arguments, read from the triangle of `xs` (see ``bell_triangle``)."""
     if not 0 <= k <= n:
         raise ValueError("bell_partial requires 0 <= k <= n")
     if k == 0:
@@ -305,20 +223,6 @@ def theta_series(q: Fraction, order: int) -> TSeries:
     return log1p_scaled_series(1, order) - log1p_scaled_series(q, order)
 
 
-@lru_cache(maxsize=_TABLES)
-def zeta_series(q: Fraction, order: int) -> TSeries:
-    """Taylor series of (e^z - 1)/(1 - q e^z), the inverse of theta.
-
-    Written as w/(p - q*w) with w = e^z - 1 and p = 1 - q so the constant
-    term of the denominator is the unit p.
-    """
-    q = as_fraction(q)
-    p = 1 - q
-    w = expm1_series(order)
-    denom = TSeries.one(order) - (q / p) * w
-    return (w * denom.reciprocal()) * (Fraction(1) / p)
-
-
 def _prefix_products(factor: Callable[[int], XPoly]) -> GrowingTable:
     """1, factor(1), factor(1) factor(2), ...: running products of polynomials in x."""
     return GrowingTable(lambda done: done[-1] * factor(len(done)) if done else XPoly.const(1))
@@ -349,12 +253,6 @@ def _bracket_table(q: Fraction) -> GrowingTable:
         return total
 
     return GrowingTable(next_bracket)
-
-
-def omega_power_series(q: Fraction, order: int) -> TSeries:
-    """Series of ((1+t)/(1+qt))^x with XPoly coefficients (exact in x),
-    the epsilon_k of the one bracket table per q."""
-    return TSeries([epsilon(k, q) for k in range(order + 1)], order)
 
 
 @lru_cache(maxsize=_TABLES)
@@ -450,8 +348,7 @@ def varpi(m: int, n: int, q) -> Fraction:
     """Basis-change weight from the Appell companions to the main family.
 
     varpi(m, n) = n! [z^n] theta(z)^m, read from ``theta_triangle``;
-    varpi(0,0) = 1 and varpi(0,n) = 0 for n >= 1.  Equals the composition
-    sum ``varpi_by_compositions``.
+    varpi(0,0) = 1 and varpi(0,n) = 0 for n >= 1.
     """
     if m < 0 or n < 0 or m > n:
         raise ValueError("varpi requires 0 <= m <= n")
@@ -462,8 +359,7 @@ def varrho(m: int, k: int, q) -> Fraction:
     """Basis-change weight from the main family back to the companions.
 
     varrho(m, k) = k! [z^k] zeta(z)^m, read from ``zeta_triangle``;
-    varrho(0,0) = 1 and varrho(0,k) = 0 for k >= 1.  Equals the composition
-    sum ``varrho_by_compositions``.
+    varrho(0,0) = 1 and varrho(0,k) = 0 for k >= 1.
     """
     if m < 0 or k < 0 or m > k:
         raise ValueError("varrho requires 0 <= m <= k")
@@ -476,8 +372,7 @@ def rho_scaling(m: int, k: int, q, r, variant: str = "corrected") -> Fraction:
     Both share k! [t^k] log(1+t)^m = m! s(k, m) (signed Stirling numbers of
     the first kind).  The corrected variant q^k r^m m! s(k, m) equals
     k! [t^k] (r log(1+qt))^m and is what the scaling identity requires; the
-    literal variant q^m m! s(k, m) is kept for the audit.  Both equal their
-    composition sums (``rho_by_compositions``).
+    literal variant q^m m! s(k, m) is kept for the audit.
     """
     if variant not in ("literal", "corrected"):
         raise ValueError(f"unknown rho variant {variant!r}")
@@ -488,65 +383,3 @@ def rho_scaling(m: int, k: int, q, r, variant: str = "corrected") -> Fraction:
     if variant == "corrected":
         return weight * q**k * r**m
     return weight * q**m
-
-
-# ---------------------------------------------------------------------------
-# composition sums: the reference forms of varpi, varrho and rho
-# ---------------------------------------------------------------------------
-
-def varpi_by_compositions(m: int, n: int, q) -> Fraction:
-    """sum over compositions i_1+...+i_m = n of
-    (-1)^{n+m} n! prod (1 - q^{i_j}) / i_j; the reference form of ``varpi``."""
-    if m < 0 or n < 0 or m > n:
-        raise ValueError("varpi requires 0 <= m <= n")
-    q = as_fraction(q)
-    if m == 0:
-        return Fraction(1 if n == 0 else 0)
-    sign = Fraction((-1) ** (n + m) * math.factorial(n))
-    total = Fraction(0)
-    for comp in compositions(n, m):
-        prod = Fraction(1)
-        for i in comp:
-            prod *= (1 - q**i) / i
-        total += prod
-    return sign * total
-
-
-def varrho_by_compositions(m: int, k: int, q) -> Fraction:
-    """sum over compositions i_1+...+i_m = k of
-    k!/(i_1!...i_m!) prod kappa_{i_j}; the reference form of ``varrho``."""
-    if m < 0 or k < 0 or m > k:
-        raise ValueError("varrho requires 0 <= m <= k")
-    q = as_fraction(q)
-    if m == 0:
-        return Fraction(1 if k == 0 else 0)
-    total = Fraction(0)
-    for comp in compositions(k, m):
-        prod = Fraction(1)
-        for i in comp:
-            prod *= kappa(i, q) / math.factorial(i)
-        total += prod
-    return math.factorial(k) * total
-
-
-def rho_by_compositions(m: int, k: int, q, r, variant: str = "corrected") -> Fraction:
-    """(-1)^{k+m} T times q^k r^m (corrected) or q^m (literal), where
-    T = k! * sum over l_1+...+l_m = k of prod 1/l_i; the reference form of
-    ``rho_scaling``."""
-    if variant not in ("literal", "corrected"):
-        raise ValueError(f"unknown rho variant {variant!r}")
-    if m < 0 or k < 0 or m > k:
-        raise ValueError("rho requires 0 <= m <= k")
-    q, r = as_fraction(q), as_fraction(r)
-    if m == 0:
-        return Fraction(1 if k == 0 else 0)
-    total = Fraction(0)
-    for comp in compositions(k, m):
-        prod = Fraction(1)
-        for l in comp:
-            prod /= l
-        total += prod
-    total *= math.factorial(k) * Fraction((-1) ** (k + m))
-    if variant == "corrected":
-        return total * q**k * r**m
-    return total * q**m

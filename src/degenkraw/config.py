@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -209,19 +209,5 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Confi
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    cfg = config_from_dict(data)
-    if overrides:
-        model_keys = {"lambda", "beta", "p", "r"}
-        if model_keys & set(overrides):
-            merged = cfg.as_dict()
-            merged.update({k: v for k, v in overrides.items() if k in model_keys})
-            cfg = config_from_dict(merged)
-        simple = {k: v for k, v in overrides.items() if k not in model_keys}
-        if "n_max" in simple and "series_order" not in data:
-            simple.setdefault("series_order", None)
-        if simple:
-            try:
-                cfg = replace(cfg, **simple)
-            except TypeError as exc:
-                raise ConfigError(str(exc)) from exc
-    return cfg
+    config_from_dict(data)  # a file that is invalid by itself is an error too
+    return config_from_dict({**data, **(overrides or {})})

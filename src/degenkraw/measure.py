@@ -469,16 +469,22 @@ class MeasureModel:
             p = to_mpf(self.params.p)
             r = to_mpf(self.params.r)
             fs, ft = 1 + q * s, 1 + q * t
-            if fs <= 0 or ft <= 0:
-                raise DomainError("joint functional undefined: 1 + q*arg <= 0")
+            den = self._kernel_normalizer(fs, ft)
             denom_arg = fs * ft - q * (1 + s) * (1 + t)
             if denom_arg <= 0:
                 raise DomainError("joint functional undefined: composite log argument <= 0")
             num = deg_exp(r * mpmath.log(p * fs * ft / denom_arg), self.params, self.precision)
-            den = deg_exp(r * mpmath.log(ft), self.params, self.precision) * deg_exp(
-                r * mpmath.log(fs), self.params, self.precision
-            )
             return num / den
+
+    def _kernel_normalizer(self, fs, ft):
+        """e_lam^beta(r log fs) * e_lam^beta(r log ft) for fs = 1+qs and ft = 1+qt,
+        the normalizer of the two generating kernels; runs in ``self._dps()``."""
+        r = to_mpf(self.params.r)
+        if fs <= 0 or ft <= 0:
+            raise DomainError("joint functional undefined: 1 + q*arg <= 0")
+        return deg_exp(r * mpmath.log(fs), self.params, self.precision) * deg_exp(
+            r * mpmath.log(ft), self.params, self.precision
+        )
 
     def joint_laplace_oracle(self, s, t):
         """Truncated double-sum oracle sum_k Psi(s,k) Psi(t,k) pmf(k).
@@ -490,15 +496,12 @@ class MeasureModel:
         with self._dps():
             s, t = to_mpf(s), to_mpf(t)
             q = to_mpf(self.params.q)
-            r = to_mpf(self.params.r)
             w_prod = ((1 + s) / (1 + q * s)) * ((1 + t) / (1 + q * t))
             x0, big_c = self._tail_anchor
             rho = abs(w_prod) / x0
             if rho >= 1:
                 raise DomainError("no geometric tail control at these points")
-            den = deg_exp(r * mpmath.log(1 + q * s), self.params, self.precision) * deg_exp(
-                r * mpmath.log(1 + q * t), self.params, self.precision
-            )
+            den = self._kernel_normalizer(1 + q * s, 1 + q * t)
             target = mpmath.power(10, -mp.mpf(self.precision) / 2)
             acc = mp.mpf(0)
             g = mp.mpf(1)

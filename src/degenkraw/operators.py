@@ -41,13 +41,6 @@ class ChaosVector:
     def coeff(self, n: int) -> Fraction:
         return self.coeffs[n] if 0 <= n < len(self.coeffs) else Fraction(0)
 
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, items) -> "ChaosVector":
-        return cls.make(Fraction(s) for s in items)
-
 
 def chaos_to_poly(v: ChaosVector, params: Params) -> XPoly:
     """Expand a chaos vector into the monomial basis."""

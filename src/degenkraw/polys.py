@@ -32,9 +32,9 @@ from .combinat import (
     deg_falling,
     epsilon,
     faa_derivative,
-    omega_power_series,
     stirling1,
     stirling2,
+    theta_series,
     varpi,
     varrho,
 )
@@ -74,20 +74,6 @@ class PolyFamily:
 
     def __getitem__(self, n: int) -> XPoly:
         return self.members[n]
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """Derivative data behind the coefficient recurrence.
-
-    xi[m]  the m-th derivative at 0 of r*log(1+qt),
-    mu[k]  the k-th derivative at 0 of (1+lam*r*log(1+qt))^(beta/lam),
-    c[n]   the normalized inverse coefficients with c[0] = 1.
-    """
-
-    xi: tuple[Fraction, ...]
-    mu: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +125,6 @@ def c_coeffs(n_max: int, params: Params) -> list[Fraction]:
     return c
 
 
-def coeff_table(n_max: int, params: Params) -> CoeffTable:
-    return CoeffTable(
-        xi=tuple(xi_derivs(n_max, params)),
-        mu=tuple(mu_coeffs(n_max, params)),
-        c=tuple(c_coeffs(n_max, params)),
-    )
-
-
 def _as_xpoly(c) -> XPoly:
     return c if isinstance(c, XPoly) else XPoly.const(c)
 
@@ -173,9 +151,11 @@ def _triangular_sums(weight, basis) -> tuple[XPoly, ...]:
 @lru_cache(maxsize=_TABLES)
 def K_series(params: Params, n_max: int) -> PolyFamily:
     """Canonical route: n! times the t^n coefficient of the generating series,
-    truncated at order n_max + 2 (members through n_max do not depend on it)."""
+    exp(x theta(t)) over its denominator, truncated at order n_max + 2
+    (members through n_max do not depend on it)."""
     order = n_max + 2
-    psi = omega_power_series(params.q, order) * deg_exp_xi_series(params, order).reciprocal()
+    omega_x = (theta_series(params.q, order) * XPoly.x()).exp()  # ((1+t)/(1+qt))^x
+    psi = omega_x * deg_exp_xi_series(params, order).reciprocal()
     members = tuple(_as_xpoly(math.factorial(n) * psi.coeff(n)) for n in range(n_max + 1))
     return PolyFamily(params, n_max, members, "series")
 

@@ -274,15 +274,6 @@ class XYPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def substitute_y(self, value) -> XPoly:
-        """Evaluate the y variable at a scalar, returning a polynomial in x."""
-        value = as_fraction(value)
-        out: dict = {}
-        for (i, j), c in self.terms.items():
-            out[i] = out.get(i, Fraction(0)) + c * value**j
-        deg = max(out) if out else -1
-        return XPoly(out.get(i, Fraction(0)) for i in range(deg + 1))
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -319,11 +310,6 @@ def gen_binomial(v, n: int):
     for i in range(n):
         result = result * (v - i)
     return result / math.factorial(n)
-
-
-def falling_factorial(v, n: int):
-    """Classical falling factorial v(v-1)...(v-n+1); scalar or XPoly argument."""
-    return gen_binomial(v, n) * math.factorial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +420,6 @@ class TSeries:
     def __hash__(self):
         return hash((self.order, self.coeffs))
 
-    def map(self, fn) -> "TSeries":
-        return TSeries([fn(c) for c in self.coeffs], self.order)
-
-    def lift(self) -> "TSeries":
-        """Promote scalar coefficients to constant XPoly values."""
-        return self.map(lambda c: c if isinstance(c, XPoly) else XPoly.const(c))
-
     def reciprocal(self) -> "TSeries":
         """Inverse series: self * result == 1 through order N."""
         inv0 = _unit_inverse(self.coeffs[0])
@@ -487,16 +466,6 @@ class TSeries:
         e = as_fraction(e)
         return (self.log1() * e).exp()
 
-    def compose(self, inner: "TSeries") -> "TSeries":
-        """self(inner(t)) truncated at the shared order; inner(0) must be 0."""
-        self._check(inner)
-        if not inner.coeffs[0] == 0:
-            raise ValueError("composition requires inner constant term 0")
-        result = TSeries.const(self.coeffs[self.order], self.order)
-        for k in range(self.order - 1, -1, -1):
-            result = result * inner + self.coeffs[k]
-        return result
-
     def derivative_list(self):
         """Derivatives at 0: [k! * coeff_k for k = 0..N]."""
         return [math.factorial(k) * c for k, c in enumerate(self.coeffs)]
@@ -509,11 +478,6 @@ class TSeries:
 # ---------------------------------------------------------------------------
 # stock series
 # ---------------------------------------------------------------------------
-
-def exp_series(order: int) -> TSeries:
-    """Taylor series of e^t."""
-    return TSeries([Fraction(1, math.factorial(k)) for k in range(order + 1)], order)
-
 
 def expm1_series(order: int) -> TSeries:
     """Taylor series of e^t - 1 (zero constant term)."""

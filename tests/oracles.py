@@ -1,0 +1,190 @@
+"""Reference forms the tests hold the library to.
+
+Each is an independent route to a value the package computes another way:
+the composition and partition sums behind the Riordan tables (their cost
+grows exponentially in n), the inverse series zeta of theta, and series
+composition by Horner's rule.  None of them is part of the library, and
+no module of ``degenkraw`` imports this one.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Iterator, Sequence
+
+from degenkraw.combinat import kappa
+from degenkraw.series import TSeries, as_fraction, expm1_series, gen_binomial
+
+
+# ---------------------------------------------------------------------------
+# compositions and partial Bell polynomials
+# ---------------------------------------------------------------------------
+
+def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Ordered m-tuples of positive integers summing to n, lexicographic by first part.
+
+    Yields exactly binom(n-1, m-1) tuples; empty for m > n (not an error),
+    and for m == 0 only n == 0 produces the empty tuple.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("compositions requires nonnegative arguments")
+    if m == 0:
+        if n == 0:
+            yield ()
+        return
+    if m > n:
+        return
+    if m == 1:
+        yield (n,)
+        return
+    for first in range(1, n - m + 2):
+        for rest in compositions(n - first, m - 1):
+            yield (first,) + rest
+
+
+def _bell_multiplicities(n: int, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Multiplicity patterns ((part, count), ...) with sum(count)=k, sum(part*count)=n."""
+
+    def rec(remaining_n, remaining_k, max_part):
+        if remaining_k == 0:
+            if remaining_n == 0:
+                yield ()
+            return
+        # parts are at least 1, so remaining_n >= remaining_k must hold
+        for part in range(min(max_part, remaining_n - remaining_k + 1), 0, -1):
+            for count in range(1, remaining_n // part + 1):
+                if count > remaining_k:
+                    break
+                for rest in rec(remaining_n - part * count, remaining_k - count, part - 1):
+                    yield ((part, count),) + rest
+
+    yield from rec(n, k, n - k + 1 if k else 0)
+
+
+def bell_partial_by_partitions(n: int, k: int, xs: Sequence):
+    """B_{n,k}(x_1, ..., x_{n-k+1}) summed over integer partitions, the
+    reference form the tests hold ``bell_partial`` to.
+
+    Sum over nonnegative multiplicities (i_1, ..., i_{n-k+1}) with
+    sum i_j = k and sum j*i_j = n of
+    n!/(i_1!...i_{n-k+1}!) * prod (x_j/j!)^{i_j}.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("bell_partial requires 0 <= k <= n")
+    if k == 0:
+        return Fraction(1) if n == 0 else Fraction(0)
+    if len(xs) < n - k + 1:
+        raise ValueError(f"bell_partial needs {n - k + 1} arguments, got {len(xs)}")
+    nfact = math.factorial(n)
+    total = None
+    for pattern in _bell_multiplicities(n, k):
+        weight = Fraction(nfact)
+        term = None
+        for part, count in pattern:
+            weight /= math.factorial(count) * math.factorial(part) ** count
+            for _ in range(count):
+                term = xs[part - 1] if term is None else term * xs[part - 1]
+        term = weight if term is None else weight * term
+        total = term if total is None else total + term
+    return Fraction(0) if total is None else total
+
+
+# ---------------------------------------------------------------------------
+# composition sums: the reference forms of varpi, varrho and rho
+# ---------------------------------------------------------------------------
+
+def varpi_by_compositions(m: int, n: int, q) -> Fraction:
+    """sum over compositions i_1+...+i_m = n of
+    (-1)^{n+m} n! prod (1 - q^{i_j}) / i_j; the reference form of ``varpi``."""
+    if m < 0 or n < 0 or m > n:
+        raise ValueError("varpi requires 0 <= m <= n")
+    q = as_fraction(q)
+    if m == 0:
+        return Fraction(1 if n == 0 else 0)
+    sign = Fraction((-1) ** (n + m) * math.factorial(n))
+    total = Fraction(0)
+    for comp in compositions(n, m):
+        prod = Fraction(1)
+        for i in comp:
+            prod *= (1 - q**i) / i
+        total += prod
+    return sign * total
+
+
+def varrho_by_compositions(m: int, k: int, q) -> Fraction:
+    """sum over compositions i_1+...+i_m = k of
+    k!/(i_1!...i_m!) prod kappa_{i_j}; the reference form of ``varrho``."""
+    if m < 0 or k < 0 or m > k:
+        raise ValueError("varrho requires 0 <= m <= k")
+    q = as_fraction(q)
+    if m == 0:
+        return Fraction(1 if k == 0 else 0)
+    total = Fraction(0)
+    for comp in compositions(k, m):
+        prod = Fraction(1)
+        for i in comp:
+            prod *= kappa(i, q) / math.factorial(i)
+        total += prod
+    return math.factorial(k) * total
+
+
+def rho_by_compositions(m: int, k: int, q, r, variant: str = "corrected") -> Fraction:
+    """(-1)^{k+m} T times q^k r^m (corrected) or q^m (literal), where
+    T = k! * sum over l_1+...+l_m = k of prod 1/l_i; the reference form of
+    ``rho_scaling``."""
+    if variant not in ("literal", "corrected"):
+        raise ValueError(f"unknown rho variant {variant!r}")
+    if m < 0 or k < 0 or m > k:
+        raise ValueError("rho requires 0 <= m <= k")
+    q, r = as_fraction(q), as_fraction(r)
+    if m == 0:
+        return Fraction(1 if k == 0 else 0)
+    total = Fraction(0)
+    for comp in compositions(k, m):
+        prod = Fraction(1)
+        for l in comp:
+            prod /= l
+        total += prod
+    total *= math.factorial(k) * Fraction((-1) ** (k + m))
+    if variant == "corrected":
+        return total * q**k * r**m
+    return total * q**m
+
+
+# ---------------------------------------------------------------------------
+# series
+# ---------------------------------------------------------------------------
+
+def zeta_series(q: Fraction, order: int) -> TSeries:
+    """Taylor series of (e^z - 1)/(1 - q e^z), the inverse of theta.
+
+    Written as w/(p - q*w) with w = e^z - 1 and p = 1 - q so the constant
+    term of the denominator is the unit p.
+    """
+    q = as_fraction(q)
+    p = 1 - q
+    w = expm1_series(order)
+    denom = TSeries.one(order) - (q / p) * w
+    return (w * denom.reciprocal()) * (Fraction(1) / p)
+
+
+def exp_series(order: int) -> TSeries:
+    """Taylor series of e^t."""
+    return TSeries([Fraction(1, math.factorial(k)) for k in range(order + 1)], order)
+
+
+def falling_factorial(v, n: int):
+    """Classical falling factorial v(v-1)...(v-n+1); scalar or XPoly argument."""
+    return gen_binomial(v, n) * math.factorial(n)
+
+
+def compose(outer: TSeries, inner: TSeries) -> TSeries:
+    """outer(inner(t)) truncated at the shared order; inner(0) must be 0."""
+    outer._check(inner)
+    if not inner.coeffs[0] == 0:
+        raise ValueError("composition requires inner constant term 0")
+    result = TSeries.const(outer.coeffs[outer.order], outer.order)
+    for k in range(outer.order - 1, -1, -1):
+        result = result * inner + outer.coeffs[k]
+    return result

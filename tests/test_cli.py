@@ -290,6 +290,36 @@ class TestAuditCommand:
         with ctx.workdps():
             assert check.entry(ctx).residual == residual
 
+    def test_each_measure_quantity_once(self, monkeypatch):
+        # joint-functional-oracle evaluates joint_laplace(s, t) once (three
+        # deg_exp calls per joint_laplace, two for the oracle's normalizer)
+        # and literal-internal-consistency evaluates literal_mass once.  The
+        # tail anchor is warmed first, so its pgf is not counted.
+        import degenkraw.measure as measure
+
+        ctx = RunContext.of(small_config(n_max=2))
+        ctx.model._tail_anchor
+        counts = {"deg_exp": 0, "literal_mass": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(measure, "deg_exp", counted("deg_exp", measure.deg_exp))
+        monkeypatch.setattr(
+            measure.MeasureModel, "literal_mass",
+            counted("literal_mass", measure.MeasureModel.literal_mass),
+        )
+        checks = {c.formula_id: c for c in CHECKS}
+        with ctx.workdps():
+            checks["joint-functional-oracle"].entry(ctx)
+            assert counts["deg_exp"] == 8
+            checks["literal-internal-consistency"].entry(ctx)
+            assert counts["literal_mass"] == 1
+
     @pytest.mark.parametrize("n_max", [0, 1])
     def test_small_n_max(self, n_max):
         text, code = cmd_audit(small_config(n_max=n_max, output_format="csv"))
@@ -382,14 +412,14 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == "cross: FAIL (k-route-from-p: n=1: -1)\n"
 
 
-# degenkraw.__all__ as it stood before the floating-point names became lazy
+# degenkraw.__all__: the exact names and the lazily imported floating-point ones
 PUBLIC_NAMES = [
-    "ChaosVector", "CoeffTable", "Config", "ConfigError", "DomainError", "K_bell",
+    "ChaosVector", "Config", "ConfigError", "DomainError", "K_bell",
     "K_epsilon", "K_from_P", "K_series", "K_stirling", "MeasureModel",
     "NonInvertibleSeries", "P_bell", "P_from_K", "P_from_K_stirling2", "P_series",
     "Params", "PolyFamily", "TSeries", "XPoly", "XYPoly", "addition_P3", "addition_P4",
     "bell_partial", "bracket_y", "c_coeffs", "chaos_to_poly", "classical_K",
-    "classical_pmf", "coeff_table", "combinat", "compositions", "config", "deg_exp",
+    "classical_pmf", "combinat", "config", "deg_exp",
     "deg_exp_series", "deg_falling", "epsilon", "epsilon_closed", "eta",
     "exact_moments", "faa_derivative", "family", "gen_binomial", "kappa",
     "laplace_series", "load_config", "measure", "monomial_from_K", "mu_coeffs",
@@ -404,7 +434,7 @@ import contextlib, io, json, sys
 from degenkraw.cli import main
 from degenkraw.polys import K_ROUTES, P_ROUTES
 
-heavy = ("mpmath", "numpy", "degenkraw.audit")
+heavy = ("mpmath", "numpy", "sympy", "degenkraw.audit")
 loaded = {"import": [m for m in heavy if m in sys.modules]}
 with contextlib.redirect_stdout(io.StringIO()):
     for route in K_ROUTES + P_ROUTES + ("classical",):

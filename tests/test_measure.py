@@ -139,21 +139,19 @@ class TestCanonicalPmf:
 
     def test_matches_generic_bell_formula(self, params):
         # independent route: same composition-derivative formula, but with the
-        # generic partial-Bell evaluator instead of the Stirling collapse
+        # generic partial-Bell evaluator instead of the Stirling collapse; the
+        # Bell values are exact, of the rational inner derivatives r q^m (m-1)!
         model = MeasureModel(params)
+        inner = [params.r * params.q**m * math.factorial(m - 1) for m in range(1, 12)]
         with mp.workdps(70):
             a = 1 + to_mpf(params.lam) * to_mpf(params.r) * mpmath.log(to_mpf(params.p))
-            inner = [mp.mpf(0)] + [
-                to_mpf(params.r) * to_mpf(params.q) ** m * math.factorial(m - 1)
-                for m in range(1, 12)
-            ]
             for n in range(11):
                 acc = mp.mpf(0)
                 for j in range(n + 1):
                     phi_j = to_mpf(deg_falling(params.beta, j, params.lam)) * mpmath.power(
                         a, to_mpf(params.beta / params.lam) - j
                     )
-                    acc += phi_j * bell_partial(n, j, inner[1:])
+                    acc += phi_j * to_mpf(bell_partial(n, j, inner))
                 expected = acc / math.factorial(n)
                 assert abs(model.pmf(n) - expected) < mpf10(-50)
 

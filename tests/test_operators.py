@@ -45,10 +45,6 @@ class TestBasisChange:
     def test_trailing_zeros_trimmed(self):
         assert ChaosVector.make([1, 0, 0]).coeffs == (F(1),)
 
-    def test_json_roundtrip(self):
-        v = ChaosVector.make(["1/2", "-3", "7/9"])
-        assert ChaosVector.from_json(v.to_json()) == v
-
 
 class TestScaling:
     def test_identity_and_collapse(self, params):

@@ -23,7 +23,6 @@ from degenkraw.polys import (
     addition_P4,
     c_coeffs,
     classical_K,
-    coeff_table,
     deg_exp_xi_series,
     family,
     monomial_from_K,
@@ -79,11 +78,11 @@ class TestCoefficientData:
         assert c_coeffs(order, params) == series_route
 
     def test_coeff_table_invariants(self, params):
-        table = coeff_table(8, params)
-        assert table.c[0] == 1
-        assert table.mu[0] == 1
+        assert c_coeffs(8, params)[0] == 1
+        assert mu_coeffs(8, params)[0] == 1
+        xi = xi_derivs(8, params)
         for m in range(1, 9):
-            assert table.xi[m] == params.r * F((-1) ** (m - 1) * math.factorial(m - 1)) * params.q**m
+            assert xi[m] == params.r * F((-1) ** (m - 1) * math.factorial(m - 1)) * params.q**m
 
 
 class TestKFamily:
@@ -109,18 +108,54 @@ class TestKFamily:
         assert K_stirling(params, n_bell).members == base.members[: n_bell + 1]
 
     def test_generating_function_regression(self, params):
-        # sum K_n t^n/n! reproduces the generating series coefficient-wise
-        from degenkraw.combinat import omega_power_series
-
+        # sum K_n t^n/n! reproduces the generating series coefficient-wise,
+        # with ((1+t)/(1+qt))^x read from the epsilon table rather than
+        # built as exp(x theta(t)), as K_series builds it
         order = 8
         fam = K_series(params, order)
-        psi = omega_power_series(params.q, order) * deg_exp_xi_series(
-            params, order
-        ).reciprocal()
+        omega_x = TSeries([epsilon(k, params.q) for k in range(order + 1)], order)
+        psi = omega_x * deg_exp_xi_series(params, order).reciprocal()
         for n in range(order + 1):
             got = psi.coeff(n)
             got = got if isinstance(got, XPoly) else XPoly.const(got)
             assert fam[n] == math.factorial(n) * got
+
+    def test_series_route_reads_no_bracket_table(self, monkeypatch):
+        # the canonical route builds ((1+t)/(1+qt))^x as exp(x theta(t)), so
+        # it stays independent of the epsilon/bracket table that the epsilon
+        # and bell-corrected routes read: with that table disabled it still
+        # builds.  A point no other test uses keeps every cache cold.
+        import degenkraw.combinat as cb
+
+        def disabled(*args):
+            raise AssertionError("the series route read the bracket table")
+
+        monkeypatch.setattr(cb, "_bracket_table", disabled)
+        params = Params.make("-5/6", "7/3", "3/8", "2/5")
+        series = K_series(params, 12)
+        with pytest.raises(AssertionError):
+            K_epsilon(params, 12)
+        monkeypatch.undo()
+        assert series.members == K_epsilon(params, 12).members
+
+    def test_sympy_series_matches(self, params):
+        # a third route, from outside the package: SymPy expands the
+        # generating function itself, without TSeries, for n <= 6
+        import sympy
+
+        x, t = sympy.symbols("x t")
+        lam, beta, q, r = (
+            sympy.Rational(v.numerator, v.denominator)
+            for v in (params.lam, params.beta, params.q, params.r)
+        )
+        gf = ((1 + t) / (1 + q * t)) ** x / (1 + lam * r * sympy.log(1 + q * t)) ** (beta / lam)
+        expansion = sympy.series(gf, t, 0, 7).removeO()
+        fam = K_series(params, 6)
+        for n in range(7):
+            member = sympy.Poly(sympy.expand(sympy.factorial(n) * expansion.coeff(t, n)), x)
+            coeffs = member.all_coeffs()
+            assert all(c.is_Rational for c in coeffs), n
+            assert XPoly(F(int(c.p), int(c.q)) for c in reversed(coeffs)) == fam[n], n
 
     def test_leading_coefficient(self, params):
         fam = K_series(params, 10)
@@ -314,20 +349,31 @@ class TestStirlingTransition:
 
 
 class TestPolynomialCost:
-    def test_canonical_routes_never_enumerate(self, monkeypatch):
-        # the composition and partition sums are test oracles only: with
-        # both enumerators disabled, every canonical route still builds.
+    def test_canonical_routes_never_enumerate(self):
+        # the composition and partition sums are test oracles only, in
+        # tests/oracles.py: no degenkraw module defines or imports an
+        # enumerator, the oracles or sympy, and every canonical route builds.
         # A point no other test uses keeps every cache cold.
-        import degenkraw.combinat as cb
+        import ast
+        from pathlib import Path
+
+        import degenkraw
         from degenkraw.operators import scaled_member
 
-        def disabled(*args):
-            raise AssertionError("a canonical route enumerated compositions or partitions")
-
-        monkeypatch.setattr(cb, "compositions", disabled)
-        monkeypatch.setattr(cb, "_bell_multiplicities", disabled)
-        with pytest.raises(AssertionError):
-            cb.varpi_by_compositions(2, 3, F(1, 3))
+        enumerators = {
+            "compositions", "_bell_multiplicities", "bell_partial_by_partitions",
+            "varpi_by_compositions", "varrho_by_compositions", "rho_by_compositions",
+        }
+        for path in Path(degenkraw.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    assert node.name not in enumerators, (path.name, node.name)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = {a.name for a in node.names} | {getattr(node, "module", None)}
+                    assert not names & enumerators, (path.name, names)
+                    assert not any(
+                        name and name.split(".")[0] in ("oracles", "tests", "sympy") for name in names
+                    ), (path.name, names)
         params = Params.make("-2/3", "3/2", "5/9", "4/3")
         n_max = 12
         k_base, p_base = K_series(params, n_max), P_series(params, n_max)
