@@ -170,14 +170,14 @@ def cmd_sample(config: Config, count: int) -> str:
     if count < 1:
         raise ConfigError("count must be positive")
     from .measure import MeasureModel
-    from .sampling import histogram, sample, tv_distance
+    from .sampling import _tv_from_counts, histogram, sample
 
     model = MeasureModel(config.params, config.precision_digits)
     draws = sample(count, config.seed, model)
     counts = histogram(draws)
     rows = []
-    for n in range(max(counts) + 1):
-        pn = float(model.pmf(n))
+    pmfs = [float(model.pmf(n)) for n in range(max(counts) + 1)]
+    for n, pn in enumerate(pmfs):
         c = counts.get(n, 0)
         # a drawn value always has positive mass; the guard only protects
         # against float underflow at absurd support points
@@ -198,7 +198,7 @@ def cmd_sample(config: Config, count: int) -> str:
     summary = {
         "count": count,
         "seed": config.seed,
-        "tv_distance": f"{tv_distance(draws, model):.8f}",
+        "tv_distance": f"{_tv_from_counts(counts, count, pmfs):.8f}",
         "empirical_mean": f"{emp_mean:.8f}",
         "exact_mean": str(mean_exact),
         "mean_se": f"{se:.8f}",

@@ -18,12 +18,13 @@ moment, is exactly rational and is computed over Fraction (``Params``
 and the exact series live in ``config``, which does not import mpmath,
 and are re-exported here).
 
-The two hot kernels, the Stirling-weighted sum behind ``pmf`` and
-``truncated_moment_sums`` and the exponential in the quadrature
-integrands, run on raw ``mpmath.libmp`` tuples.  They call the libmp
-functions that mpf's own operators call, with the same arguments in the
-same order, so every result has the bits of the mpf expression it
-replaces.
+The hot kernels give every bit of the mpf expressions they replace.  The
+Stirling-weighted sum behind ``pmf`` and ``truncated_moment_sums`` runs on
+Python ints: it rounds each exact product and each exact partial sum to
+the working precision, ties to even, as mpf's correctly rounded multiply
+and add do.  The moment loop around it and the quadrature integrands run
+on raw ``mpmath.libmp`` tuples and call the libmp functions that mpf's own
+operators call, with the same arguments in the same order.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from functools import cached_property, lru_cache
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fone, from_int, fzero, mpf_add, mpf_div, mpf_e, mpf_exp, mpf_log
-from mpmath.libmp import mpf_mul, mpf_mul_int
+from mpmath.libmp import fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_e, mpf_exp
+from mpmath.libmp import mpf_log, mpf_loggamma, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub
 
 from .combinat import _C1_ROWS, _TABLES, GrowingTable, _next_c1_row, deg_falling, stirling2
 # the exact side of the model and DomainError live in config, free of mpmath;
@@ -46,6 +47,7 @@ from .series import as_fraction, gen_binomial
 
 DEFAULT_DIGITS = 60
 _GUARD_DIGITS = 15
+_QUAD_EXTRA_BITS = 20  # mpmath.quad calls the integrand this far above the working precision
 
 
 def to_mpf(x):
@@ -67,24 +69,44 @@ def deg_exp(z, params: Params, digits: int = DEFAULT_DIGITS):
 
 
 # ---------------------------------------------------------------------------
-# raw libmp kernels, bit for bit equal to the mpf expressions they replace
+# kernels bit for bit equal to the mpf expressions they replace
 # ---------------------------------------------------------------------------
 
-def _stirling_dot(row, w):
-    """sum_j row[j] * w[j] for ints row[j] and mpfs w[j], as a raw libmp tuple.
+def _round_even(man, exp, prec):
+    """man * 2**exp for an int man > 0, rounded to prec bits, ties to even,
+    as an (int, exponent) pair."""
+    shift = man.bit_length() - prec
+    if shift <= 0:
+        return man, exp
+    low = man & ((1 << shift) - 1)
+    man >>= shift
+    half = 1 << (shift - 1)
+    if low > half or (low == half and man & 1):
+        man += 1  # may carry to 2**prec, which is still exact
+    return man, exp + shift
 
-    Performs the rounded operations of the mpf loop ``acc += to_mpf(c) * w[j]``
-    at the working precision.  ``to_mpf`` converts an int exactly, so
-    ``to_mpf(c) * w[j]`` is one rounded product, which is what
-    ``mpf_mul_int`` returns for any width of c.  A zero c adds an exact zero
-    to a sum that is already rounded, so it is skipped.
+
+def _stirling_dot(row, w):
+    """sum_j row[j] * w[j] at the working precision, as a raw libmp tuple.
+
+    Requires ints c >= 0, the (man, exp) pairs of mpfs w_j > 0 (Params gives
+    r > 0, beta - j*lam > 0 and a > 1) and mp's rounding to nearest.  Each
+    exact product c * w_j, then each exact partial sum, is rounded to
+    nearest, ties to even, as ``mpf_mul_int`` and ``mpf_add`` round on
+    either backend: the bits of ``acc += to_mpf(c) * w[j]``, as ``to_mpf``
+    converts an int exactly.  A zero c would add an exact zero; it is skipped.
     """
-    prec, rnd = mp._prec_rounding
-    acc = fzero
-    for c, wj in zip(row, w):
+    prec = mp.prec
+    man = exp = 0
+    for c, (wman, wexp) in zip(row, w):
         if c:
-            acc = mpf_add(acc, mpf_mul_int(wj._mpf_, c, prec, rnd), prec, rnd)
-    return acc
+            tman, texp = _round_even(c * wman, wexp, prec)
+            shift = exp - texp
+            if shift >= 0:
+                man, exp = _round_even((man << shift) + tman, texp, prec)
+            else:
+                man, exp = _round_even(man + (tman << -shift), exp, prec)
+    return from_man_exp(man, exp)
 
 
 @lru_cache(maxsize=_TABLES)
@@ -146,7 +168,7 @@ class MeasureModel:
     params: Params
     precision: int = DEFAULT_DIGITS
     _phi: GrowingTable = field(init=False, compare=False, repr=False)
-    _densities: dict = field(default_factory=dict, compare=False, repr=False)  # node s -> density
+    _densities: dict = field(default_factory=dict, compare=False, repr=False)  # s._mpf_ -> density
 
     def __post_init__(self):
         if self.precision < 40:
@@ -195,7 +217,7 @@ class MeasureModel:
         """
         if n < 0:
             raise ValueError("support is the nonnegative integers")
-        w = self._phi_weights(n)
+        w = [v._mpf_[1:3] for v in self._phi_weights(n)]
         with self._dps():
             q = to_mpf(self.params.q)
             acc = mp.make_mpf(_stirling_dot(_C1_ROWS[n], w))
@@ -262,7 +284,7 @@ class MeasureModel:
         factor *= q / (n + 1).
         """
         cutoff = self.adaptive_cutoff(m_max)
-        w = self._phi_weights(cutoff)
+        w = [v._mpf_[1:3] for v in self._phi_weights(cutoff)]
         with mp.workdps(self.precision + 2 * _GUARD_DIGITS):
             prec, rnd = mp._prec_rounding
             q = to_mpf(self.params.q)._mpf_
@@ -395,9 +417,9 @@ class MeasureModel:
         kept on the model."""
 
         def integrand(s):
-            density = self._densities.get(s)
+            density = self._densities.get(s._mpf_)
             if density is None:
-                density = self._densities[s] = self.mixture_density(s)
+                density = self._densities[s._mpf_] = self.mixture_density(s)
             return f(s) * density
 
         with self._dps():
@@ -411,38 +433,49 @@ class MeasureModel:
     def gamma_laplaces(self, xs) -> list:
         """``gamma_laplace`` at each x of ``xs``, sharing the node densities."""
 
-        def transform(x):
-            return self._integrate(lambda s: _e_pow(-s * x))
+        def transform(x):  # e ** (-s * x), one libmp call per mpf operation
+            return self._integrate(
+                lambda s: _e_pow(mp.make_mpf(mpf_mul(mpf_neg(s._mpf_, qprec, rnd), x, qprec, rnd)))
+            )
 
         with self._dps():
-            return [transform(to_mpf(x)) for x in xs]
+            qprec, rnd = mp.prec + _QUAD_EXTRA_BITS, mp._prec_rounding[1]
+            return [transform(to_mpf(x)._mpf_) for x in xs]
 
     def mixture_pmfs(self, ns) -> list:
         """Canonical masses at each n of ``ns``, reconstructed by quadrature
         against the mixing density; the independent oracle for ``pmf``.
 
         Each mass integrates the Pascal mass at n with rate parameter r*s
-        over the Gamma mixing law.  The n-free part of the Pascal mass
-        (loggamma(r*s) and r*s*log p) is kept per node for the length of
-        the call.
+        over the Gamma mixing law, on raw libmp tuples.  The n-free part of
+        the Pascal mass (r*s, loggamma(r*s) and r*s*log p) is kept per node
+        for the length of the call.
         """
         ns = list(ns)
         if any(n < 0 for n in ns):
             raise ValueError("support is the nonnegative integers")
         with self._dps():
-            logq = mpmath.log(to_mpf(self.params.q))
-            r = to_mpf(self.params.r)
-            nodes = {}  # s -> (loggamma(r*s), r*s*log p)
+            prec, rnd = mp._prec_rounding
+            qprec = prec + _QUAD_EXTRA_BITS
+            logq = mpmath.log(to_mpf(self.params.q))._mpf_
+            logp, r = self._log_p._mpf_, to_mpf(self.params.r)._mpf_
+            nodes = {}  # s._mpf_ -> (r*s, loggamma(r*s), r*s*log p)
 
             def mass(n):
-                lognfact = mpmath.loggamma(n + 1)
+                lognfact = mpf_loggamma(from_int(n + 1), prec, rnd)
+                nlogq = mpf_mul_int(logq, n, qprec, rnd)
 
                 def pascal(s):
-                    if s not in nodes:
-                        rs = r * s
-                        nodes[s] = (mpmath.loggamma(rs), rs * self._log_p)
-                    lg, rslogp = nodes[s]
-                    return _e_pow(mpmath.loggamma(n + r * s) - lg - lognfact + rslogp + n * logq)
+                    node = nodes.get(s._mpf_)
+                    if node is None:
+                        rs = mpf_mul(r, s._mpf_, qprec, rnd)
+                        lg = mpf_loggamma(rs, qprec, rnd)
+                        node = nodes[s._mpf_] = (rs, lg, mpf_mul(rs, logp, qprec, rnd))
+                    rs, lg, rslogp = node
+                    y = mpf_loggamma(mpf_add(rs, from_int(n), qprec, rnd), qprec, rnd)
+                    y = mpf_sub(mpf_sub(y, lg, qprec, rnd), lognfact, qprec, rnd)
+                    y = mpf_add(mpf_add(y, rslogp, qprec, rnd), nlogq, qprec, rnd)
+                    return _e_pow(mp.make_mpf(y))
 
                 return self._integrate(pascal)
 

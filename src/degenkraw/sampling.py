@@ -52,12 +52,15 @@ def tv_distance(draws: np.ndarray, model: MeasureModel) -> float:
     tail tolerance.
     """
     counts = histogram(draws)
-    total = sum(counts.values())
-    top = max(counts)
+    pmfs = [float(model.pmf(n)) for n in range(max(counts) + 1)]
+    return _tv_from_counts(counts, sum(counts.values()), pmfs)
+
+
+def _tv_from_counts(counts: dict[int, int], total: int, pmfs: list[float]) -> float:
+    """``tv_distance`` from the counts of ``total`` draws and the pmf at 0 .. max draw."""
     acc = 0.0
     pmf_mass = 0.0
-    for n in range(top + 1):
-        pn = float(model.pmf(n))
+    for n, pn in enumerate(pmfs):
         pmf_mass += pn
         acc += abs(counts.get(n, 0) / total - pn)
     return 0.5 * (acc + max(0.0, 1.0 - pmf_mass))

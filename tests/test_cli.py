@@ -226,6 +226,18 @@ class TestSampleCommand:
         cfg = small_config(n_max=4)
         assert cmd_sample(cfg, 5000) == cmd_sample(cfg, 5000)
 
+    def test_summary_tv_is_tv_distance(self):
+        # the command takes the TV from the histogram and pmf floats of its
+        # rows; it must print what tv_distance computes from the draws
+        from degenkraw.measure import MeasureModel
+        from degenkraw.sampling import sample, tv_distance
+
+        cfg = small_config(n_max=4)
+        doc = json.loads(cmd_sample(cfg, 5000))
+        model = MeasureModel(cfg.params, cfg.precision_digits)
+        draws = sample(5000, cfg.seed, model)
+        assert doc["summary"]["tv_distance"] == f"{tv_distance(draws, model):.8f}"
+
     def test_seed_changes_output(self):
         a = cmd_sample(small_config(n_max=4), 5000)
         b = cmd_sample(small_config(n_max=4, seed=43), 5000)

@@ -70,6 +70,44 @@ def _moment_sums_by_mpf_terms(model, m_max):
         return sums, cutoff
 
 
+# The mpf-object integrands of the Gamma-mixture quadratures before the raw
+# libmp kernels, integrated by the same quad call: oracles for their bits.
+
+def _quad_by_mpf_terms(model, f):
+    # the mixing density at the model's precision, also inside quad
+    p = model.params
+    with model._dps():
+        shape, scale = -to_mpf(p.beta / p.lam), -to_mpf(p.lam)
+        norm = mpmath.gamma(shape) * scale**shape
+
+        def integrand(s):
+            with model._dps():
+                density = s ** (shape - 1) * mpmath.e ** (-s / scale) / norm
+            return f(s) * density
+
+        return mpmath.quad(integrand, [0, shape * scale, mpmath.inf])
+
+
+def _mixture_pmf_by_mpf_terms(model, n):
+    with model._dps():
+        logp = mpmath.log(to_mpf(model.params.p))
+        logq = mpmath.log(to_mpf(model.params.q))
+        r = to_mpf(model.params.r)
+        lognfact = mpmath.loggamma(n + 1)
+
+        def pascal(s):
+            lg = mpmath.loggamma(r * s)
+            return mpmath.e ** (mpmath.loggamma(n + r * s) - lg - lognfact + r * s * logp + n * logq)
+
+        return _quad_by_mpf_terms(model, pascal)
+
+
+def _gamma_laplace_by_mpf_terms(model, x):
+    with model._dps():
+        x = to_mpf(x)
+        return _quad_by_mpf_terms(model, lambda s: mpmath.e ** (-s * x))
+
+
 def _bits(values):
     return [v._mpf_ for v in values]
 
@@ -242,8 +280,11 @@ class TestLibmpKernels:
             got = _bits(model.pmf(n) for n in range(61))
             assert got == _bits(_pmf_by_mpf_terms(model, n) for n in range(61))
 
-    @pytest.mark.parametrize("name", list(ALL_SETS))
-    @pytest.mark.parametrize("digits", [40, 60])
+    @pytest.mark.parametrize(
+        "digits, name",
+        [pytest.param(d, name, id=f"{d}-{name}") for name in ALL_SETS for d in (40, 60)]
+        + [pytest.param(120, "C", id="120-C")],  # the benchmark's precision
+    )
     @pytest.mark.parametrize("outer", [None, 300], ids=["bare", "outer300"])
     def test_moment_sums_are_bit_identical(self, name, digits, outer):
         model = MeasureModel(ALL_SETS[name], digits)
@@ -253,6 +294,16 @@ class TestLibmpKernels:
                 expected, expected_cutoff = _moment_sums_by_mpf_terms(model, m_max)
                 assert cutoff == expected_cutoff
                 assert _bits(sums) == _bits(expected)
+
+    @pytest.mark.parametrize("name", list(ALL_SETS))
+    def test_quadratures_are_bit_identical(self, name):
+        model = MeasureModel(ALL_SETS[name], 40)
+        ns = [0, 2, 7]
+        expected = _bits(_mixture_pmf_by_mpf_terms(model, n) for n in ns)
+        assert _bits(model.mixture_pmfs(ns)) == expected
+        xs = [F(1, 2), F(2)]
+        expected = _bits(_gamma_laplace_by_mpf_terms(model, x) for x in xs)
+        assert _bits(model.gamma_laplaces(xs)) == expected
 
     @pytest.mark.parametrize("bits", [50, 200, 700])
     def test_e_pow_is_bit_identical(self, bits):
