@@ -25,6 +25,11 @@ the working precision, ties to even, as mpf's correctly rounded multiply
 and add do.  The moment loop around it and the quadrature integrands run
 on raw ``mpmath.libmp`` tuples and call the libmp functions that mpf's own
 operators call, with the same arguments in the same order.
+
+The Gamma-mixture integrals run through ``_integrate``, a tanh-sinh driver
+with the bits of ``mpmath.quad`` that evaluates only the nodes whose term
+can change a bit.  It relies on mpmath's private rule object
+``mp._tanh_sinh`` and on ``mpf_sum``'s drop rule (see ``_integrate``).
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from functools import cached_property, lru_cache
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_e, mpf_exp
-from mpmath.libmp import mpf_log, mpf_loggamma, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub
+from mpmath.libmp import bitcount, fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_e
+from mpmath.libmp import mpf_exp, mpf_log, mpf_loggamma, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub
 
 from .combinat import _C1_ROWS, _TABLES, GrowingTable, _next_c1_row, deg_falling, stirling2
 # the exact side of the model and DomainError live in config, free of mpmath;
@@ -48,6 +53,7 @@ from .series import as_fraction, gen_binomial
 DEFAULT_DIGITS = 60
 _GUARD_DIGITS = 15
 _QUAD_EXTRA_BITS = 20  # mpmath.quad calls the integrand this far above the working precision
+_TOP_SLACK = 64  # bits a term w * f * density with f <= 1 may reach above top(w) + top(density)
 
 
 def to_mpf(x):
@@ -116,18 +122,42 @@ def _log_e(prec: int, rnd: str):
 
 
 def _e_pow(y):
-    """``mpmath.e ** y`` for an mpf y, bit for bit.
+    """``mpmath.e ** y`` for an mpf y, bit for bit; see ``_e_pow_raw``."""
+    return mp.make_mpf(_e_pow_raw(y._mpf_))
+
+
+def _e_pow_raw(yval):
+    """``(mpmath.e ** y)._mpf_`` for a raw libmp tuple y, bit for bit.
 
     Unless y is an integer or a half-integer, mpf_pow computes
     exp(y * log(e)) with log(e) rounded at the working precision plus 10
     bits; this keeps that logarithm per precision instead of recomputing it
     at every call.
     """
-    yval = y._mpf_
     if yval[2] >= -1:  # integer or half-integer y: mpf_pow's other branches
-        return mpmath.e ** y
+        return (mpmath.e ** mp.make_mpf(yval))._mpf_
     prec, rnd = mp._prec_rounding
-    return mp.make_mpf(mpf_exp(mpf_mul(yval, _log_e(prec, rnd)), prec, rnd))
+    return mpf_exp(mpf_mul(yval, _log_e(prec, rnd)), prec, rnd)
+
+
+def _sum_term(man, exp, x, limit):
+    """Add a finite raw mpf x to the exact sum man * 2**exp as ``mpf_sum``
+    adds it, with ``limit`` its 2*prec: a term more than ``limit`` bits below
+    the sum's lowest bit is dropped, and a sum more than ``limit`` bits below
+    the term is replaced by it.  Returns the new (man, exp)."""
+    sign, xman, xexp, xbc = x
+    if not xman:
+        return man, exp
+    if sign:
+        xman = -xman
+    delta = xexp - exp
+    if delta >= 0:
+        if delta > limit and (not man or delta - bitcount(abs(man)) > limit):
+            return xman, xexp
+        return man + (xman << delta), exp
+    if -delta - xbc > limit:
+        return (man, exp) if man else (xman, xexp)
+    return (man << -delta) + xman, xexp
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +198,7 @@ class MeasureModel:
     params: Params
     precision: int = DEFAULT_DIGITS
     _phi: GrowingTable = field(init=False, compare=False, repr=False)
-    _densities: dict = field(default_factory=dict, compare=False, repr=False)  # s._mpf_ -> density
+    _densities: dict = field(default_factory=dict, compare=False, repr=False)  # s._mpf_ -> raw density
 
     def __post_init__(self):
         if self.precision < 40:
@@ -411,36 +441,75 @@ class MeasureModel:
             shape, scale, norm, _ = self._law
             return s ** (shape - 1) * _e_pow(-s / scale) / norm
 
-    def _integrate(self, f):
-        """quad(f(s) * density(s)) over [0, mean, inf] at the model's precision:
-        every such integral visits the same nodes, so one density per node is
-        kept on the model."""
+    def _integrate(self, f, bounded=True):
+        """``mpmath.quad(f(s) * density(s), [0, mean, inf])`` at the model's
+        precision, bit for bit; f takes and returns raw libmp tuples.
 
-        def integrand(s):
-            density = self._densities.get(s._mpf_)
-            if density is None:
-                density = self._densities[s._mpf_] = self.mixture_density(s)
-            return f(s) * density
-
+        It reuses mpmath's rule ``mp._tanh_sinh`` (``guess_degree``,
+        ``get_nodes`` and its node cache, ``estimate_error``) and quad's
+        eps/8, precision raise, degree loop and step sum.  The node sum runs
+        fdot's exact products through ``mpf_sum``'s accumulation
+        (``_sum_term``), which drops a term more than 2*prec bits below the
+        running sum's lowest bit.  ``bounded`` promises 0 < f <= 1 (a Pascal
+        mass, or e^(-s x) with x >= 0), so a term is below
+        2^(top(w) + top(density) + 3) with top(v) = exp + bc, rounding
+        included; a node whose bound plus ``_TOP_SLACK`` bits lies that far
+        down is skipped.  Every integral visits the same nodes, so one
+        density per node is kept on the model; the bound reads it.
+        """
+        rule = mp._tanh_sinh
         with self._dps():
-            mean = self._law[3]
-            return mpmath.quad(integrand, [0, mean, mpmath.inf])
+            prec = mp.prec
+            eps, max_degree, mean = mp.eps / 8, rule.guess_degree(prec), self._law[3]
+            with mp.workprec(prec + _QUAD_EXTRA_BITS):
+                qprec, rnd = mp._prec_rounding
+                limit = 2 * qprec
+                total = mp.zero
+                for a, b in ((0, mean), (mean, mpmath.inf)):
+                    results = []
+                    for degree in range(1, max_degree + 1):
+                        man = exp = 0
+                        for s, w in rule.get_nodes(a, b, degree, prec):
+                            density = self._densities.get(s._mpf_)
+                            if density is None:
+                                density = self._densities[s._mpf_] = self.mixture_density(s)._mpf_
+                            w = w._mpf_
+                            if bounded and man and exp - limit > (
+                                w[2] + w[3] + density[2] + density[3] + _TOP_SLACK
+                            ):
+                                continue  # mpf_sum would drop the term, whatever f(s)
+                            fd = mpf_mul(f(s._mpf_), density, qprec, rnd)
+                            man, exp = _sum_term(man, exp, mpf_mul(w, fd), limit)
+                        h = mp.mpf(2) ** (-degree)
+                        step = results[-1] / (h * 2) if results else mp.zero
+                        step += mp.make_mpf(from_man_exp(man, exp, qprec, rnd))
+                        results.append(h * step)
+                        if degree > 1 and rule.estimate_error(results, prec, eps) <= eps:
+                            break
+                    total += results[-1]
+            return +total
 
     def gamma_laplace(self, x):
         """Numeric integral of e^{-s x} against the mixing density."""
         return self.gamma_laplaces([x])[0]
 
     def gamma_laplaces(self, xs) -> list:
-        """``gamma_laplace`` at each x of ``xs``, sharing the node densities."""
+        """``gamma_laplace`` at each x of ``xs``, sharing the node densities.
+
+        The transform (1 - lam*x)^(beta/lam) diverges unless 1 - lam*x > 0."""
 
         def transform(x):  # e ** (-s * x), one libmp call per mpf operation
             return self._integrate(
-                lambda s: _e_pow(mp.make_mpf(mpf_mul(mpf_neg(s._mpf_, qprec, rnd), x, qprec, rnd)))
+                lambda s: _e_pow_raw(mpf_mul(mpf_neg(s, qprec, rnd), x._mpf_, qprec, rnd)),
+                bounded=x >= 0,
             )
 
         with self._dps():
+            xs = [to_mpf(x) for x in xs]
+            if any(1 - to_mpf(self.params.lam) * x <= 0 for x in xs):
+                raise DomainError("mixing-law Laplace transform undefined: 1 - lambda*x <= 0")
             qprec, rnd = mp.prec + _QUAD_EXTRA_BITS, mp._prec_rounding[1]
-            return [transform(to_mpf(x)._mpf_) for x in xs]
+            return [transform(x) for x in xs]
 
     def mixture_pmfs(self, ns) -> list:
         """Canonical masses at each n of ``ns``, reconstructed by quadrature
@@ -448,8 +517,8 @@ class MeasureModel:
 
         Each mass integrates the Pascal mass at n with rate parameter r*s
         over the Gamma mixing law, on raw libmp tuples.  The n-free part of
-        the Pascal mass (r*s, loggamma(r*s) and r*s*log p) is kept per node
-        for the length of the call.
+        the Pascal mass (r*s, r*s*log p and, once an n >= 1 mass needs it,
+        loggamma(r*s)) is kept per node for the length of the call.
         """
         ns = list(ns)
         if any(n < 0 for n in ns):
@@ -459,23 +528,30 @@ class MeasureModel:
             qprec = prec + _QUAD_EXTRA_BITS
             logq = mpmath.log(to_mpf(self.params.q))._mpf_
             logp, r = self._log_p._mpf_, to_mpf(self.params.r)._mpf_
-            nodes = {}  # s._mpf_ -> (r*s, loggamma(r*s), r*s*log p)
+            nodes = {}  # s._mpf_ -> [r*s, r*s*log p, loggamma(r*s) or None]
+
+            def node(s):
+                v = nodes.get(s)
+                if v is None:
+                    rs = mpf_mul(r, s, qprec, rnd)
+                    v = nodes[s] = [rs, mpf_mul(rs, logp, qprec, rnd), None]
+                return v
 
             def mass(n):
+                if not n:  # loggamma(r*s + 0) - loggamma(r*s), loggamma(1), 0*log q: exact 0s
+                    return self._integrate(lambda s: _e_pow_raw(node(s)[1]))
                 lognfact = mpf_loggamma(from_int(n + 1), prec, rnd)
                 nlogq = mpf_mul_int(logq, n, qprec, rnd)
 
                 def pascal(s):
-                    node = nodes.get(s._mpf_)
-                    if node is None:
-                        rs = mpf_mul(r, s._mpf_, qprec, rnd)
-                        lg = mpf_loggamma(rs, qprec, rnd)
-                        node = nodes[s._mpf_] = (rs, lg, mpf_mul(rs, logp, qprec, rnd))
-                    rs, lg, rslogp = node
+                    v = node(s)
+                    rs, rslogp, lg = v
+                    if lg is None:
+                        lg = v[2] = mpf_loggamma(rs, qprec, rnd)
                     y = mpf_loggamma(mpf_add(rs, from_int(n), qprec, rnd), qprec, rnd)
                     y = mpf_sub(mpf_sub(y, lg, qprec, rnd), lognfact, qprec, rnd)
                     y = mpf_add(mpf_add(y, rslogp, qprec, rnd), nlogq, qprec, rnd)
-                    return _e_pow(mp.make_mpf(y))
+                    return _e_pow_raw(y)
 
                 return self._integrate(pascal)
 

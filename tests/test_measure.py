@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from degenkraw import measure
 from degenkraw.combinat import bell_partial, deg_falling, stirling1_unsigned
 from degenkraw.measure import (
     _GUARD_DIGITS,
@@ -235,6 +236,21 @@ class TestCanonicalPmf:
         with pytest.raises(ValueError):
             MeasureModel(set_a).mixture_pmfs([-1])
 
+    def test_zero_mass_calls_no_loggamma(self, monkeypatch):
+        # loggamma(r*s + 0) - loggamma(r*s), loggamma(1) and 0*log q are exact
+        # zeros, so the n = 0 mass integrates e ** (r*s*log p) alone; the
+        # per-node loggamma(r*s) arrives with the first n >= 1 mass
+        calls = []
+        loggamma = measure.mpf_loggamma
+        monkeypatch.setattr(
+            measure, "mpf_loggamma", lambda *args: calls.append(args) or loggamma(*args)
+        )
+        model = MeasureModel(ALL_SETS["B"], 40)
+        model.mixture_pmfs([0])
+        assert calls == []
+        model.mixture_pmfs([1])
+        assert calls
+
 
 class TestModelConstants:
     def test_equality_is_point_and_precision(self, set_a):
@@ -295,13 +311,19 @@ class TestLibmpKernels:
                 assert cutoff == expected_cutoff
                 assert _bits(sums) == _bits(expected)
 
-    @pytest.mark.parametrize("name", list(ALL_SETS))
-    def test_quadratures_are_bit_identical(self, name):
-        model = MeasureModel(ALL_SETS[name], 40)
-        ns = [0, 2, 7]
+    @pytest.mark.parametrize(
+        "digits, name, ns, xs",
+        [pytest.param(40, name, [0, 2, 7], [F(1, 2), F(2)], id=name) for name in ALL_SETS]
+        # the audit's own calls; the node sum's drop threshold 2*prec moves with digits
+        + [
+            pytest.param(60, name, range(11), [F(1, 2), F(1), F(2)], id=f"60-{name}")
+            for name in ALL_SETS
+        ],
+    )
+    def test_quadratures_are_bit_identical(self, digits, name, ns, xs):
+        model = MeasureModel(ALL_SETS[name], digits)
         expected = _bits(_mixture_pmf_by_mpf_terms(model, n) for n in ns)
         assert _bits(model.mixture_pmfs(ns)) == expected
-        xs = [F(1, 2), F(2)]
         expected = _bits(_gamma_laplace_by_mpf_terms(model, x) for x in xs)
         assert _bits(model.gamma_laplaces(xs)) == expected
 
@@ -460,6 +482,22 @@ class TestMixtureDensity:
     def test_domain(self, set_a):
         with pytest.raises(DomainError):
             MeasureModel(set_a).mixture_density(0)
+
+    def test_laplace_domain(self, set_a):
+        # (1 - lam*x)^(beta/lam) diverges unless 1 - lam*x > 0, that is x > -2
+        # on set A; the batch is refused before any quadrature runs
+        model = MeasureModel(set_a, 40)
+        for x in (-2, F(-5, 2), -3):
+            with pytest.raises(DomainError, match=r"1 - lambda\*x <= 0"):
+                model.gamma_laplaces([F(1, 2), x])
+        assert model._densities == {}
+        # inside, e^(-s x) > 1 lets no node be skipped: near the edge, at
+        # x = -19/10, skipping by the x >= 0 bound would change bits; the
+        # values keep quad's bits and the closed form (1 + x/2)^(-4)
+        for x in (F(-1), F(-19, 10)):
+            got = model.gamma_laplace(x)
+            assert got._mpf_ == _gamma_laplace_by_mpf_terms(model, x)._mpf_
+            assert abs(got / to_mpf((1 + x / 2) ** -4) - 1) < mpf10(-15)
 
 
 class TestJointFunctional:
