@@ -25,12 +25,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-import mpmath
-from mpmath import mp
+from mpmath import MPContext
 
 from .combinat import epsilon, epsilon_closed, theta_triangle
 from .config import PROPERTIES, VARIANT_PROPERTIES, Config, ConfigError, Params
-from .measure import MeasureModel, to_mpf
+from .measure import MeasureModel, _context
 from .operators import (
     ChaosVector,
     scale_expansion,
@@ -102,8 +101,8 @@ class AuditReport:
         ]
 
 
-def _nstr(x, digits: int = 20) -> str:
-    return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
+def _nstr(num: MPContext, x, digits: int = 20) -> str:
+    return num.nstr(num.mpf(x), digits, strip_zeros=False)
 
 
 # ---------------------------------------------------------------------------
@@ -141,26 +140,27 @@ def example_K2_printed(params) -> XPoly:
 @dataclass(frozen=True)
 class RunContext:
     """What the checks of one run share: the parameter point, the family
-    size, the numeric model and the canonical main family."""
+    size, the numeric model, the canonical main family and the context of
+    every numeric comparison, at ten guard digits over the model's
+    precision.  A model value enters it through ``num.convert``."""
 
     params: Params
     n_max: int
     model: MeasureModel
     base: PolyFamily
+    num: MPContext
 
     @classmethod
     def of(cls, config: Config) -> "RunContext":
         model = MeasureModel(config.params, config.precision_digits)
-        return cls(config.params, config.n_max, model, K_series(config.params, config.n_max))
-
-    def workdps(self):
-        """Working precision of every check: ten guard digits over the model's."""
-        return mp.workdps(self.model.precision + 10)
+        base = K_series(config.params, config.n_max)
+        return cls(config.params, config.n_max, model, base, _context(model.precision + 10))
 
     @cached_property
     def moment_sums(self) -> tuple[list, int]:
         """Truncated support sums of n^m pmf(n) for m <= 8, and their cutoff."""
-        return self.model.truncated_moment_sums(8)
+        sums, cutoff = self.model.truncated_moment_sums(8)
+        return [self.num.convert(v) for v in sums], cutoff
 
 
 @dataclass(frozen=True)
@@ -204,11 +204,11 @@ def _exact(gap, residual: str, notes: str):
     return "mismatch", residual.format(*gap), notes
 
 
-def _within(gap, tol_exponent: int, notes: str):
+def _within(num: MPContext, gap, tol_exponent: int, notes: str):
     """Outcome of a numeric comparison against the tolerance 10^-tol_exponent."""
-    ok = bool(gap < mpmath.mpf(10) ** -tol_exponent)
+    ok = bool(gap < num.mpf(10) ** -tol_exponent)
     status = "match-within-tol" if ok else "mismatch"
-    return status, _nstr(gap), f"{notes} tolerance 1e-{tol_exponent}"
+    return status, _nstr(num, gap), f"{notes} tolerance 1e-{tol_exponent}"
 
 
 def _family_gap(a: PolyFamily, b: PolyFamily):
@@ -355,84 +355,84 @@ def _laplace_linear(c: RunContext):
 def _pmf_normalization(c: RunContext):
     sums, cutoff = c.moment_sums
     mass_gap = abs(1 - sums[0])
-    ok = bool(sums[0] <= 1 and mass_gap < mpmath.mpf(10) ** -20)
+    ok = bool(sums[0] <= 1 and mass_gap < c.num.mpf(10) ** -20)
     notes = f"cutoff {cutoff}; tail bound below 1e-{c.model.precision // 2}"
-    return ("match-within-tol" if ok else "mismatch"), _nstr(mass_gap), notes
+    return ("match-within-tol" if ok else "mismatch"), _nstr(c.num, mass_gap), notes
 
 
 def _moment_oracle(c: RunContext):
-    sums, _ = c.moment_sums
-    worst = mp.mpf(0)
+    sums, num = c.moment_sums[0], c.num
+    worst = num.mpf(0)
     for m in range(9):
-        exact_m = to_mpf(c.model.moment_exact(m))
-        rel = abs(sums[m] - exact_m) / max(abs(exact_m), mp.mpf(1))
+        exact_m = num.convert(c.model.moment_exact(m))
+        rel = abs(sums[m] - exact_m) / max(abs(exact_m), num.mpf(1))
         worst = max(worst, rel)
-    return _within(worst, 20, "largest relative gap;")
+    return _within(num, worst, 20, "largest relative gap;")
 
 
 def _literal_internal_consistency(c: RunContext):
-    model = c.model
-    lit_sums = model.literal_moment_sums(6)
-    mass = model.literal_mass()
+    model, num = c.model, c.num
+    lit_sums = [num.convert(v) for v in model.literal_moment_sums(6)]
+    mass = num.convert(model.literal_mass())
     worst = abs(lit_sums[0] - mass) / mass
     for m in range(1, 7):
-        lm = model.literal_moment(m)
-        worst = max(worst, abs(lit_sums[m] - lm) / max(abs(lm), mp.mpf(1)))
+        lm = num.convert(model.literal_moment(m))
+        worst = max(worst, abs(lit_sums[m] - lm) / max(abs(lm), num.mpf(1)))
     notes = "the literal chain must at least agree with itself;"
-    return _within(worst, model.precision // 2, notes)
+    return _within(num, worst, model.precision // 2, notes)
 
 
 def _pmf_literal_mass(c: RunContext):
-    gap = c.model.literal_mass() - 1
-    status = "mismatch" if abs(gap) > mpmath.mpf(10) ** -30 else "match-within-tol"
-    return status, _nstr(gap), "expected nonzero; the literal pmf does not normalize"
+    gap = c.num.convert(c.model.literal_mass()) - 1
+    status = "mismatch" if abs(gap) > c.num.mpf(10) ** -30 else "match-within-tol"
+    return status, _nstr(c.num, gap), "expected nonzero; the literal pmf does not normalize"
 
 
 def _moment_literal_gap(c: RunContext):
-    gaps = []
+    num, gaps = c.num, []
     for m in range(1, 5):
-        lm = c.model.literal_moment(m)
-        em = to_mpf(c.model.moment_exact(m))
+        lm = num.convert(c.model.literal_moment(m))
+        em = num.convert(c.model.moment_exact(m))
         gaps.append(abs(lm - em) / abs(em))
-    status = "mismatch" if max(gaps) > mpmath.mpf(10) ** -30 else "match-within-tol"
-    residual = "[" + ", ".join(_nstr(g, 8) for g in gaps) + "]"
+    status = "mismatch" if max(gaps) > num.mpf(10) ** -30 else "match-within-tol"
+    residual = "[" + ", ".join(_nstr(num, g, 8) for g in gaps) + "]"
     return status, residual, "expected nonzero relative gaps; recorded per m"
 
 
 def _mixture_consistency(c: RunContext):
-    ns = range(min(10, c.n_max) + 1)
-    worst = mp.mpf(0)
+    ns, num = range(min(10, c.n_max) + 1), c.num
+    worst = num.mpf(0)
     for n, mass in zip(ns, c.model.mixture_pmfs(ns)):
-        worst = max(worst, abs(mass - c.model.pmf(n)))
-    return _within(worst, 15, f"n <= {min(10, c.n_max)};")
+        worst = max(worst, abs(num.convert(mass) - num.convert(c.model.pmf(n))))
+    return _within(num, worst, 15, f"n <= {min(10, c.n_max)};")
 
 
 def _gamma_mixing_transform(c: RunContext):
-    lam, beta = c.params.lam, c.params.beta
+    lam, beta, num = c.params.lam, c.params.beta, c.num
     ss = (Fraction(1, 2), Fraction(1), Fraction(2))
-    worst = mp.mpf(0)
+    worst = num.mpf(0)
     for s, lhs in zip(ss, c.model.gamma_laplaces(ss)):
-        rhs = mpmath.power(1 - to_mpf(lam) * to_mpf(s), to_mpf(beta / lam))
-        worst = max(worst, abs(lhs - rhs))
-    return _within(worst, 15, "s in {1/2, 1, 2};")
+        rhs = num.power(1 - num.convert(lam) * num.convert(s), num.convert(beta / lam))
+        worst = max(worst, abs(num.convert(lhs) - rhs))
+    return _within(num, worst, 15, "s in {1/2, 1, 2};")
 
 
 def _joint_functional_oracle(c: RunContext):
-    model, s, t = c.model, Fraction(1, 10), Fraction(1, 5)
-    value = model.joint_laplace(s, t)
-    sym_gap = abs(value - model.joint_laplace(t, s))
-    oracle_gap = abs(value - model.joint_laplace_oracle(s, t))
-    return _within(max(sym_gap, oracle_gap), 15, "includes the symmetry gap;")
+    model, num, s, t = c.model, c.num, Fraction(1, 10), Fraction(1, 5)
+    value = num.convert(model.joint_laplace(s, t))
+    sym_gap = abs(value - num.convert(model.joint_laplace(t, s)))
+    oracle_gap = abs(value - num.convert(model.joint_laplace_oracle(s, t)))
+    return _within(num, max(sym_gap, oracle_gap), 15, "includes the symmetry gap;")
 
 
 def _joint_product_dependence(c: RunContext):
-    model = c.model
+    model, num = c.model, c.num
     spread = abs(
-        model.joint_laplace(Fraction(1, 10), Fraction(1, 5))
-        - model.joint_laplace(Fraction(1, 50), Fraction(1))
+        num.convert(model.joint_laplace(Fraction(1, 10), Fraction(1, 5)))
+        - num.convert(model.joint_laplace(Fraction(1, 50), Fraction(1)))
     )
-    status = "match-within-tol" if spread > mpmath.mpf(10) ** -6 else "mismatch"
-    return status, _nstr(spread), "values must differ: the functional is not a function of s*t"
+    status = "match-within-tol" if spread > num.mpf(10) ** -6 else "mismatch"
+    return status, _nstr(num, spread), "values must differ: the functional is not a function of s*t"
 
 
 CHECKS = (
@@ -523,9 +523,8 @@ CHECKS = (
 def run_audit(config: Config) -> AuditReport:
     ctx = RunContext.of(config)
     report = AuditReport()
-    with ctx.workdps():
-        for check in CHECKS:
-            report.add(check.entry(ctx))
+    for check in CHECKS:
+        report.add(check.entry(ctx))
     return report
 
 
@@ -659,6 +658,4 @@ def verify_property(config: Config, prop: str, variant: str = "corrected"):
             f"variant {variant!r} exists only for properties "
             f"{' and '.join(VARIANT_PROPERTIES)}, not {prop}"
         )
-    ctx = RunContext.of(config)
-    with ctx.workdps():
-        return VERIFY[prop](ctx, variant)
+    return VERIFY[prop](RunContext.of(config), variant)

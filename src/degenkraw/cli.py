@@ -113,10 +113,9 @@ def _render(config: Config, command: str, rows: list[dict], summary: dict | None
     return buf.getvalue()
 
 
-def _real_str(x, digits: int = 25) -> str:
-    import mpmath
-
-    return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
+def _real_str(x, num, digits: int = 25) -> str:
+    # x rounded to the precision of the mpmath context num, then to digits digits
+    return num.nstr(num.mpf(x), digits, strip_zeros=False)
 
 
 # ---------------------------------------------------------------------------
@@ -140,29 +139,27 @@ def cmd_polys(config: Config, route: str) -> str:
 def cmd_moments(config: Config, m_max: int) -> str:
     if m_max < 0:
         raise ConfigError("m_max must be nonnegative")
-    from mpmath import mp
-
-    from .measure import MeasureModel, to_mpf
+    from .measure import MeasureModel, _context
 
     model = MeasureModel(config.params, config.precision_digits)
-    with mp.workdps(config.precision_digits + 10):
-        # the literal column leaves its domain before any sum is worth running
-        literal = [""] + [_real_str(model.literal_moment(m)) for m in range(1, m_max + 1)]
-        sums, cutoff = model.truncated_moment_sums(m_max)
-        rows = []
-        for m in range(m_max + 1):
-            canonical = model.moment_exact(m)
-            oracle = sums[m]
-            gap = abs(to_mpf(canonical) - oracle)
-            rows.append(
-                {
-                    "m": m,
-                    "canonical": str(canonical),
-                    "literal": literal[m],
-                    "oracle": _real_str(oracle),
-                    "abs_gap": _real_str(gap, 8),
-                }
-            )
+    num = _context(config.precision_digits + 10)  # the comparisons' precision
+    # the literal column leaves its domain before any sum is worth running
+    literal = [""] + [_real_str(model.literal_moment(m), num) for m in range(1, m_max + 1)]
+    sums, cutoff = model.truncated_moment_sums(m_max)
+    rows = []
+    for m in range(m_max + 1):
+        canonical = model.moment_exact(m)
+        oracle = num.convert(sums[m])
+        gap = abs(num.convert(canonical) - oracle)
+        rows.append(
+            {
+                "m": m,
+                "canonical": str(canonical),
+                "literal": literal[m],
+                "oracle": _real_str(oracle, num),
+                "abs_gap": _real_str(gap, num, 8),
+            }
+        )
     return _render(config, "moments", rows, {"support_cutoff": cutoff})
 
 

@@ -354,16 +354,8 @@ class TSeries:
         raise AttributeError("TSeries is immutable")
 
     @classmethod
-    def const(cls, c, order: int) -> "TSeries":
-        return cls([c], order)
-
-    @classmethod
     def one(cls, order: int) -> "TSeries":
         return cls([Fraction(1)], order)
-
-    @classmethod
-    def x(cls, order: int) -> "TSeries":
-        return cls([Fraction(0), Fraction(1)], order)
 
     def coeff(self, k: int):
         return self.coeffs[k]

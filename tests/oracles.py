@@ -184,7 +184,7 @@ def compose(outer: TSeries, inner: TSeries) -> TSeries:
     outer._check(inner)
     if not inner.coeffs[0] == 0:
         raise ValueError("composition requires inner constant term 0")
-    result = TSeries.const(outer.coeffs[outer.order], outer.order)
+    result = TSeries([outer.coeffs[outer.order]], outer.order)
     for k in range(outer.order - 1, -1, -1):
         result = result * inner + outer.coeffs[k]
     return result

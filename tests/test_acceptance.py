@@ -23,10 +23,11 @@ from fractions import Fraction as F
 
 import mpmath
 from mpmath import mp
+from mpmath import mpmathify as to_mpf
 
 from degenkraw.cli import cmd_audit
 from degenkraw.config import config_from_dict
-from degenkraw.measure import MeasureModel, Params, to_mpf
+from degenkraw.measure import MeasureModel, Params
 from degenkraw.operators import (
     ChaosVector,
     scale_expansion,

@@ -299,8 +299,7 @@ class TestAuditCommand:
         # precision inside the quadrature shows here, under the check's name
         ctx = RunContext.of(small_config(n_max=6))
         (check,) = [c for c in CHECKS if c.formula_id == formula_id]
-        with ctx.workdps():
-            assert check.entry(ctx).residual == residual
+        assert check.entry(ctx).residual == residual
 
     def test_each_measure_quantity_once(self, monkeypatch):
         # joint-functional-oracle evaluates joint_laplace(s, t) once (three
@@ -326,11 +325,10 @@ class TestAuditCommand:
             counted("literal_mass", measure.MeasureModel.literal_mass),
         )
         checks = {c.formula_id: c for c in CHECKS}
-        with ctx.workdps():
-            checks["joint-functional-oracle"].entry(ctx)
-            assert counts["deg_exp"] == 8
-            checks["literal-internal-consistency"].entry(ctx)
-            assert counts["literal_mass"] == 1
+        checks["joint-functional-oracle"].entry(ctx)
+        assert counts["deg_exp"] == 8
+        checks["literal-internal-consistency"].entry(ctx)
+        assert counts["literal_mass"] == 1
 
     @pytest.mark.parametrize("n_max", [0, 1])
     def test_small_n_max(self, n_max):

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath import mpmathify as to_mpf
 
 from degenkraw import measure
 from degenkraw.combinat import bell_partial, deg_falling, stirling1_unsigned
@@ -15,11 +16,10 @@ from degenkraw.measure import (
     DomainError,
     MeasureModel,
     Params,
-    _e_pow,
+    _e_pow_raw,
     classical_pmf,
     deg_exp,
     deg_exp_series,
-    to_mpf,
 )
 from degenkraw.series import TSeries
 
@@ -35,7 +35,7 @@ def mpf10(e):
 
 def _pmf_by_mpf_terms(model, n):
     w = model._phi_weights(n)
-    with model._dps():
+    with mp.workdps(model.precision + _GUARD_DIGITS):
         q = to_mpf(model.params.q)
         acc = mp.mpf(0)
         for j in range(n + 1):
@@ -77,12 +77,12 @@ def _moment_sums_by_mpf_terms(model, m_max):
 def _quad_by_mpf_terms(model, f):
     # the mixing density at the model's precision, also inside quad
     p = model.params
-    with model._dps():
+    with mp.workdps(model.precision + _GUARD_DIGITS):
         shape, scale = -to_mpf(p.beta / p.lam), -to_mpf(p.lam)
         norm = mpmath.gamma(shape) * scale**shape
 
         def integrand(s):
-            with model._dps():
+            with mp.workdps(model.precision + _GUARD_DIGITS):
                 density = s ** (shape - 1) * mpmath.e ** (-s / scale) / norm
             return f(s) * density
 
@@ -90,7 +90,7 @@ def _quad_by_mpf_terms(model, f):
 
 
 def _mixture_pmf_by_mpf_terms(model, n):
-    with model._dps():
+    with mp.workdps(model.precision + _GUARD_DIGITS):
         logp = mpmath.log(to_mpf(model.params.p))
         logq = mpmath.log(to_mpf(model.params.q))
         r = to_mpf(model.params.r)
@@ -104,7 +104,7 @@ def _mixture_pmf_by_mpf_terms(model, n):
 
 
 def _gamma_laplace_by_mpf_terms(model, x):
-    with model._dps():
+    with mp.workdps(model.precision + _GUARD_DIGITS):
         x = to_mpf(x)
         return _quad_by_mpf_terms(model, lambda s: mpmath.e ** (-s * x))
 
@@ -148,7 +148,7 @@ class TestDegExp:
             deg_exp(2, params)
 
     def test_series_coefficients_are_degenerate_factorials(self, params):
-        series = deg_exp_series(TSeries.x(10), params)
+        series = deg_exp_series(TSeries([0, 1], 10), params)
         for k in range(11):
             expected = deg_falling(params.beta, k, params.lam) / math.factorial(k)
             assert series.coeff(k) == expected
@@ -270,12 +270,13 @@ class TestModelConstants:
         # the tail anchor's pgf value and the mixing law's gamma value are
         # computed once per model, not at every step of the cutoff search
         pgf_points, gamma_args = [], []
-        pgf, gamma = MeasureModel.pgf, mpmath.gamma
+        pgf = MeasureModel.pgf
         monkeypatch.setattr(
             MeasureModel, "pgf", lambda self, x: pgf_points.append(x) or pgf(self, x)
         )
-        monkeypatch.setattr(mpmath, "gamma", lambda z: gamma_args.append(z) or gamma(z))
         model = MeasureModel(set_a, 40)
+        gamma = model._num.gamma
+        monkeypatch.setattr(model._num, "gamma", lambda z: gamma_args.append(z) or gamma(z))
         model.adaptive_cutoff(4)
         model.tail_bound(50, 2)
         for s in (F(1, 2), F(2)):
@@ -338,7 +339,7 @@ class TestLibmpKernels:
                 man = rng.getrandbits(bits) * rng.choice((1, -1))
                 ys.append(mpmath.ldexp(mp.mpf(man), rng.randint(-2 * bits, -bits + 9)))
             for y in ys:
-                assert _e_pow(y)._mpf_ == (mpmath.e**y)._mpf_, y
+                assert _e_pow_raw(y._mpf_, mp) == (mpmath.e**y)._mpf_, y
 
 
 class TestLiteralPmf:

@@ -45,5 +45,5 @@ def _cases(draw):
 def test_stirling_dot_rounds_as_the_libmp_chain(case, outer):
     prec, row, w = case
     with mp.workdps(outer or mp.dps), mp.workprec(prec):
-        got = _stirling_dot(row, [wj[1:3] for wj in w])
+        got = _stirling_dot(row, [wj[1:3] for wj in w], prec)
     assert got == _by_libmp_chain(row, w, prec)
