@@ -30,15 +30,16 @@ operators call, with the same arguments in the same order.
 
 The Gamma-mixture integrals run through ``_integrate``, a tanh-sinh driver
 with the bits of ``mpmath.quad`` that evaluates only the nodes whose term
-can change a bit.  It relies on the private rule object of the model's
-quadrature context (``ctx._tanh_sinh``) and on ``mpf_sum``'s drop rule
-(see ``_integrate``).
+can change a bit, on node tables (``_standard_nodes``, ``_nodes``); no
+model context changes precision after it is built.  It relies on mpmath's
+private tanh-sinh rule (``ctx._tanh_sinh``: ``calc_nodes`` on the node
+table's own context, ``transform_nodes``, ``guess_degree``,
+``estimate_error``) and on ``mpf_sum``'s drop rule (see ``_integrate``).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -126,6 +127,16 @@ def _stirling_dot(row, w, prec):
 
 
 @lru_cache(maxsize=_TABLES)
+def _standard_nodes(prec: int) -> GrowingTable:
+    """Entry d: the raw (x, w) tanh-sinh nodes of degree d + 1 on [-1, 1] for
+    a ``prec``-bit quadrature, shared by every model (raw, as an mpf rounds in
+    its own context).  The rule's context is this table's alone: calc_nodes
+    raises its precision while it runs, under the table's lock."""
+    calc = _context(prec=prec + _QUAD_EXTRA_BITS)._tanh_sinh.calc_nodes
+    return GrowingTable(lambda done: [(x._mpf_, w._mpf_) for x, w in calc(len(done) + 1, prec)])
+
+
+@lru_cache(maxsize=_TABLES)
 def _log_e(prec: int, rnd: str):
     # log(e) rounded as mpf_pow rounds it for e ** y; at most precisions not exactly 1
     return mpf_log(mpf_e(prec, rnd), prec + 10, rnd)
@@ -208,11 +219,9 @@ class MeasureModel:
     params: Params
     precision: int = DEFAULT_DIGITS
     _phi: GrowingTable = field(init=False, compare=False, repr=False)
-    _densities: dict = field(default_factory=dict, compare=False, repr=False)  # s._mpf_ -> raw density
     _num: MPContext = field(init=False, compare=False, repr=False)
     _wide: MPContext = field(init=False, compare=False, repr=False)
     _quad: MPContext = field(init=False, compare=False, repr=False)
-    _quad_lock: threading.Lock = field(default_factory=threading.Lock, compare=False, repr=False)
 
     def __post_init__(self):
         if self.precision < 40:
@@ -451,57 +460,60 @@ class MeasureModel:
         shape, scale, norm, _ = self._law
         return s ** (shape - 1) * num.make_mpf(_e_pow_raw((-s / scale)._mpf_, num)) / norm
 
+    @cached_property
+    def _nodes(self):
+        """Node tables of [0, mean] and [mean, inf]: entry d holds the raw
+        (s, w, density) triples of degree d + 1, from the standard nodes."""
+        quad = self._quad
+        standard, mean = _standard_nodes(self._num.prec), quad.convert(self._law[3])
+
+        def interval(a, b):
+            def next_nodes(done):
+                nodes = [(quad.make_mpf(x), quad.make_mpf(w)) for x, w in standard[len(done)]]
+                nodes = quad._tanh_sinh.transform_nodes(nodes, a, b)
+                return [(s._mpf_, w._mpf_, self.mixture_density(s)._mpf_) for s, w in nodes]
+            return GrowingTable(next_nodes)
+
+        return interval(0, mean), interval(mean, quad.inf)
+
     def _integrate(self, f, bounded=True):
         """``mpmath.quad(f(s) * density(s), [0, mean, inf])`` at the model's
         precision, bit for bit; f takes and returns raw libmp tuples.
 
-        It reuses the rule of the quadrature context, ``_quad._tanh_sinh``
-        (``guess_degree``, ``get_nodes`` and its node cache,
-        ``estimate_error``), and quad's eps/8, precision raise, degree loop
-        and step sum.  The rule raises its context's precision while it
-        computes nodes, so one integral at a time runs on a model.  The node
-        sum runs fdot's exact products through ``mpf_sum``'s accumulation
+        It reads nodes and densities from ``_nodes``, calls the quadrature
+        context's rule for ``guess_degree`` and ``estimate_error``, and
+        repeats quad's eps/8, precision raise, degree loop and step sum; no
+        precision changes, so threads may share a model.  The node sum runs
+        fdot's exact products through ``mpf_sum``'s accumulation
         (``_sum_term``), which drops a term more than 2*prec bits below the
         running sum's lowest bit.  ``bounded`` promises 0 < f <= 1 (a Pascal
-        mass, or e^(-s x) with x >= 0), so a term is below
-        2^(top(w) + top(density) + 3) with top(v) = exp + bc, rounding
-        included; a node whose bound plus ``_TOP_SLACK`` bits lies that far
-        down is skipped.  Every integral visits the same nodes, so the rule
-        caches them on first use (``interval_count``), not on the second, and
-        one density per node is kept on the model; the bound reads it.
+        mass, or e^(-s x) with x >= 0), so a term is below 2^(top(w) +
+        top(density) + 3) with top(v) = exp + bc, rounding included; a node
+        whose bound plus ``_TOP_SLACK`` bits lies that far down is skipped.
         """
         num, quad = self._num, self._quad
-        prec = num.prec
-        eps, mean = num.eps / 8, quad.convert(self._law[3])
-        with self._quad_lock:
-            rule = quad._tanh_sinh
-            max_degree = rule.guess_degree(prec)
-            qprec, rnd = quad._prec_rounding
-            limit = 2 * qprec
-            total = quad.zero
-            for a, b in ((0, mean), (mean, quad.inf)):
-                results = []
-                for degree in range(1, max_degree + 1):
-                    man = exp = 0
-                    rule.interval_count[a, b, degree, prec] = True  # cache nodes on first use
-                    for s, w in rule.get_nodes(a, b, degree, prec):
-                        density = self._densities.get(s._mpf_)
-                        if density is None:
-                            density = self._densities[s._mpf_] = self.mixture_density(s)._mpf_
-                        w = w._mpf_
-                        if bounded and man and exp - limit > (
-                            w[2] + w[3] + density[2] + density[3] + _TOP_SLACK
-                        ):
-                            continue  # mpf_sum would drop the term, whatever f(s)
-                        fd = mpf_mul(f(s._mpf_), density, qprec, rnd)
-                        man, exp = _sum_term(man, exp, mpf_mul(w, fd), limit)
-                    h = quad.mpf(2) ** (-degree)
-                    step = results[-1] / (h * 2) if results else quad.zero
-                    step += quad.make_mpf(from_man_exp(man, exp, qprec, rnd))
-                    results.append(h * step)
-                    if degree > 1 and rule.estimate_error(results, prec, eps) <= eps:
-                        break
-                total += results[-1]
+        prec, eps, rule = num.prec, num.eps / 8, quad._tanh_sinh
+        qprec, rnd = quad._prec_rounding
+        limit = 2 * qprec
+        total = quad.zero
+        for table in self._nodes:
+            results = []
+            for degree in range(1, rule.guess_degree(prec) + 1):
+                man = exp = 0
+                for s, w, density in table[degree - 1]:
+                    if bounded and man and exp - limit > (
+                        w[2] + w[3] + density[2] + density[3] + _TOP_SLACK
+                    ):
+                        continue  # mpf_sum would drop the term, whatever f(s)
+                    fd = mpf_mul(f(s), density, qprec, rnd)
+                    man, exp = _sum_term(man, exp, mpf_mul(w, fd), limit)
+                h = quad.mpf(2) ** (-degree)
+                step = results[-1] / (h * 2) if results else quad.zero
+                step += quad.make_mpf(from_man_exp(man, exp, qprec, rnd))
+                results.append(h * step)
+                if degree > 1 and rule.estimate_error(results, prec, eps) <= eps:
+                    break
+            total += results[-1]
         return +num.convert(total)
 
     def gamma_laplace(self, x):
@@ -513,7 +525,7 @@ class MeasureModel:
 
         The transform (1 - lam*x)^(beta/lam) diverges unless 1 - lam*x > 0."""
         num, quad = self._num, self._quad
-        qprec, rnd = num.prec + _QUAD_EXTRA_BITS, num._prec_rounding[1]
+        qprec, rnd = quad._prec_rounding
 
         def transform(x):  # e ** (-s * x), one libmp call per mpf operation
             return self._integrate(

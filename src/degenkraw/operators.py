@@ -154,6 +154,5 @@ def translation_series_residuals(params: Params, y, order: int) -> list[XPoly]:
     out = []
     for member, acc in zip(fam, expanded):
         shifted = member(XPoly((y, 1)))  # substitute x -> x + y
-        shifted = shifted if isinstance(shifted, XPoly) else XPoly.const(shifted)
         out.append(shifted - acc)
     return out

@@ -355,7 +355,6 @@ def addition_P3(n: int, params: Params, variant: str = "corrected") -> XYPoly:
     k_fam = K_series(params, n)
     mu = mu_coeffs(n, params)
     lhs = k_fam[n](XYPoly.x() + XYPoly.y())
-    lhs = lhs if isinstance(lhs, XYPoly) else XYPoly.const(lhs)
     rhs = XYPoly()
     for k in range(n + 1):
         for l in range(n - k + 1):
@@ -377,7 +376,6 @@ def addition_P4(n: int, params: Params) -> XYPoly:
     bracket-factorial addition identity holds."""
     k_fam = K_series(params, n)
     lhs = k_fam[n](XYPoly.x() + XYPoly.y())
-    lhs = lhs if isinstance(lhs, XYPoly) else XYPoly.const(lhs)
     rhs = XYPoly()
     for k in range(n + 1):
         rhs = rhs + math.comb(n, k) * XYPoly.from_x_poly(k_fam[k]) * XYPoly.from_y_poly(

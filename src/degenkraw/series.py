@@ -142,9 +142,10 @@ class XPoly:
         return hash(self.coeffs)
 
     def __call__(self, value):
-        """Evaluate by Horner's rule; `value` may be a scalar, XPoly or XYPoly."""
-        if not self.coeffs:
-            return Fraction(0)
+        """Evaluate by Horner's rule; `value` may be a scalar, XPoly or XYPoly,
+        and the result lies in its ring, a constant polynomial's too."""
+        if len(self.coeffs) <= 1:
+            return 0 * value + self.coeff(0)
         result = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             result = result * value + c

@@ -12,7 +12,7 @@ import pytest
 from mpmath import mp
 
 import degenkraw
-from degenkraw.measure import MeasureModel
+from degenkraw.measure import MeasureModel, _standard_nodes
 
 from conftest import SET_A, SET_B
 
@@ -68,12 +68,30 @@ def test_models_in_threads_give_sequential_bits():
 
 @pytest.mark.parametrize("params", [SET_A, SET_B], ids=["A", "B"])
 def test_one_model_shared_by_threads_gives_sequential_bits(params):
-    # the quadrature rule raises its context's precision while it computes
-    # nodes, and the model keeps one density per node for every integral
+    # the guard that the quadrature needs no per-model lock: the threads
+    # share the model's node tables, densities included, which grow under
+    # their own locks, and no context of the model changes precision
     expected = _bits(MeasureModel(params, 60).mixture_pmfs(range(4)))
     model = MeasureModel(params, 60)
     got = _in_threads([lambda: _bits(model.mixture_pmfs(range(4)))] * 3)
     assert got == [expected] * 3
+    assert mp.dps == 15
+
+
+def test_node_table_shared_by_threads_gives_sequential_bits():
+    # every model at one precision reads one standard-node table, whose own
+    # context raises its precision while it computes an entry; here four
+    # threads start from empty tables, two at 40 digits and two at 60
+    def job(digits):
+        model = MeasureModel(SET_B, digits)
+        return _bits(model.mixture_pmfs(range(3))) + _bits(model.gamma_laplaces([1]))
+
+    digits = (40, 60, 40, 60)
+    _standard_nodes.cache_clear()
+    expected = {d: job(d) for d in set(digits)}
+    _standard_nodes.cache_clear()
+    got = _in_threads([lambda d=d: job(d) for d in digits])
+    assert got == [expected[d] for d in digits]
     assert mp.dps == 15
 
 

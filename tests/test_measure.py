@@ -109,6 +109,11 @@ def _gamma_laplace_by_mpf_terms(model, x):
         return _quad_by_mpf_terms(model, lambda s: mpmath.e ** (-s * x))
 
 
+def _node_entries(model):
+    # entries built in the model's node tables of [0, mean] and [mean, inf]
+    return [len(table._entries) for table in model._nodes]
+
+
 def _bits(values):
     return [v._mpf_ for v in values]
 
@@ -260,7 +265,7 @@ class TestModelConstants:
         assert model == twin
         model.pmf(12)
         model.adaptive_cutoff(2)
-        model.gamma_laplace(F(1, 2))  # fills the per-node density table
+        model.gamma_laplace(F(1, 2))  # fills the node tables
         assert model == twin and twin == model
         assert model != MeasureModel(set_a, 41)
         assert model != MeasureModel(SET_C, 40)
@@ -461,7 +466,7 @@ class TestMixtureDensity:
                 assert abs(got - expected) < mpf10(-15)
 
     def test_laplace_batch_is_bit_identical(self):
-        # the per-node density table shared by a batch changes no bit of
+        # the node tables, densities included, shared by a batch change no bit of
         # any transform, whatever order the points are asked for in
         model = MeasureModel(SET_C, 40)
         xs = [F(1, 2), F(1), F(2)]
@@ -470,15 +475,16 @@ class TestMixtureDensity:
         assert [v._mpf_ for v in model.gamma_laplaces(xs[::-1])] == single[::-1]
 
     def test_node_densities_shared_across_quadratures(self):
-        # mixture_pmfs fills the model's per-node density table first; the
-        # transforms that then read it keep every bit of a fresh model's
+        # mixture_pmfs fills the model's node tables, densities included,
+        # first; the transforms that then read them keep every bit of a fresh
+        # model's and build no entry the masses had not built
         model = MeasureModel(SET_C, 40)
         model.mixture_pmfs(range(4))
-        filled = len(model._densities)
+        filled = _node_entries(model)
         xs = [F(1, 2), F(1), F(2)]
         fresh = MeasureModel(SET_C, 40)
         assert _bits(model.gamma_laplaces(xs)) == _bits(fresh.gamma_laplaces(xs))
-        assert filled > 0 and len(model._densities) == len(fresh._densities)
+        assert min(filled) > 0 and _node_entries(model) == filled == _node_entries(fresh)
 
     def test_domain(self, set_a):
         with pytest.raises(DomainError):
@@ -491,7 +497,7 @@ class TestMixtureDensity:
         for x in (-2, F(-5, 2), -3):
             with pytest.raises(DomainError, match=r"1 - lambda\*x <= 0"):
                 model.gamma_laplaces([F(1, 2), x])
-        assert model._densities == {}
+        assert _node_entries(model) == [0, 0]
         # inside, e^(-s x) > 1 lets no node be skipped: near the edge, at
         # x = -19/10, skipping by the x >= 0 bound would change bits; the
         # values keep quad's bits and the closed form (1 + x/2)^(-4)

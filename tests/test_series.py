@@ -59,8 +59,12 @@ class TestXPoly:
         p = XPoly((1, -2, 3))
         assert p(F(1, 2)) == 1 - 1 + F(3, 4)
         assert p.scale_arg(F(2)) == XPoly((1, -4, 12))
-        # substituting another polynomial composes
+        # substituting another polynomial composes, a constant one included:
+        # the value lies in the argument's ring
         assert (XPoly.x() ** 2)(XPoly((1, 1))) == XPoly((1, 2, 1))
+        for c in (XPoly(), XPoly.const(F(3, 2))):
+            got = c(XYPoly.x() + XYPoly.y())
+            assert isinstance(got, XYPoly) and got == XYPoly.const(c.coeff(0))
 
     def test_gen_binomial(self):
         x = XPoly.x()
