@@ -29,7 +29,7 @@ from mpmath import MPContext
 
 from .combinat import epsilon, epsilon_closed, theta_triangle
 from .config import PROPERTIES, VARIANT_PROPERTIES, Config, ConfigError, Params
-from .measure import MeasureModel, _context
+from .measure import _COMPARE_DIGITS, MeasureModel, _context, _nstr
 from .operators import (
     ChaosVector,
     scale_expansion,
@@ -101,10 +101,6 @@ class AuditReport:
         ]
 
 
-def _nstr(num: MPContext, x, digits: int = 20) -> str:
-    return num.nstr(num.mpf(x), digits, strip_zeros=False)
-
-
 # ---------------------------------------------------------------------------
 # printed example values (worked-example variants kept for comparison)
 # ---------------------------------------------------------------------------
@@ -141,7 +137,7 @@ def example_K2_printed(params) -> XPoly:
 class RunContext:
     """What the checks of one run share: the parameter point, the family
     size, the numeric model, the canonical main family and the context of
-    every numeric comparison, at ten guard digits over the model's
+    every numeric comparison, ``_COMPARE_DIGITS`` digits over the model's
     precision.  A model value enters it through ``num.convert``."""
 
     params: Params
@@ -154,7 +150,8 @@ class RunContext:
     def of(cls, config: Config) -> "RunContext":
         model = MeasureModel(config.params, config.precision_digits)
         base = K_series(config.params, config.n_max)
-        return cls(config.params, config.n_max, model, base, _context(model.precision + 10))
+        num = _context(model.precision + _COMPARE_DIGITS)
+        return cls(config.params, config.n_max, model, base, num)
 
     @cached_property
     def moment_sums(self) -> tuple[list, int]:

@@ -113,11 +113,6 @@ def _render(config: Config, command: str, rows: list[dict], summary: dict | None
     return buf.getvalue()
 
 
-def _real_str(x, num, digits: int = 25) -> str:
-    # x rounded to the precision of the mpmath context num, then to digits digits
-    return num.nstr(num.mpf(x), digits, strip_zeros=False)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -139,12 +134,12 @@ def cmd_polys(config: Config, route: str) -> str:
 def cmd_moments(config: Config, m_max: int) -> str:
     if m_max < 0:
         raise ConfigError("m_max must be nonnegative")
-    from .measure import MeasureModel, _context
+    from .measure import _COMPARE_DIGITS, MeasureModel, _context, _nstr
 
     model = MeasureModel(config.params, config.precision_digits)
-    num = _context(config.precision_digits + 10)  # the comparisons' precision
+    num = _context(config.precision_digits + _COMPARE_DIGITS)
     # the literal column leaves its domain before any sum is worth running
-    literal = [""] + [_real_str(model.literal_moment(m), num) for m in range(1, m_max + 1)]
+    literal = [""] + [_nstr(num, model.literal_moment(m), 25) for m in range(1, m_max + 1)]
     sums, cutoff = model.truncated_moment_sums(m_max)
     rows = []
     for m in range(m_max + 1):
@@ -156,8 +151,8 @@ def cmd_moments(config: Config, m_max: int) -> str:
                 "m": m,
                 "canonical": str(canonical),
                 "literal": literal[m],
-                "oracle": _real_str(oracle, num),
-                "abs_gap": _real_str(gap, num, 8),
+                "oracle": _nstr(num, oracle, 25),
+                "abs_gap": _nstr(num, gap, 8),
             }
         )
     return _render(config, "moments", rows, {"support_cutoff": cutoff})

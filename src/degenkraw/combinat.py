@@ -229,9 +229,17 @@ def _prefix_products(factor: Callable[[int], XPoly]) -> GrowingTable:
 
 
 _X = XPoly.x()
-# the falling factorials (y)_n and (-y)_n of the bracket factorials
-_FALLING_Y = _prefix_products(lambda n: _X - (n - 1))
-_FALLING_NEG_Y = _prefix_products(lambda n: -_X - (n - 1))
+_FALLING_Y = _prefix_products(lambda n: _X - (n - 1))  # the falling factorials (y)_n
+
+
+def binomial_sum(n: int, a: Callable[[int], object], b: Callable[[int], object]):
+    """sum_{k=0}^{n} binom(n,k) a(n-k) b(k), the binomial convolution behind
+    every Appell and Sheffer identity.  It starts from its k = 0 term, so the
+    terms may lie in any ring (Fraction, XPoly, XYPoly) with no zero given."""
+    total = a(n) * b(0)
+    for k in range(1, n + 1):
+        total = total + math.comb(n, k) * a(n - k) * b(k)
+    return total
 
 
 @lru_cache(maxsize=_TABLES)
@@ -244,15 +252,8 @@ def _bracket_table(q: Fraction) -> GrowingTable:
     no Riordan table, so the routes built on it stay independent of
     ``theta_triangle``.
     """
-
-    def next_bracket(done):
-        n = len(done)
-        total = XPoly()
-        for k in range(n + 1):
-            total = total + math.comb(n, k) * q**k * _FALLING_Y[n - k] * _FALLING_NEG_Y[k]
-        return total
-
-    return GrowingTable(next_bracket)
+    scaled = _prefix_products(lambda n: q * (-_X - (n - 1))).__getitem__  # q^k (-y)_k
+    return GrowingTable(lambda done: binomial_sum(len(done), _FALLING_Y.__getitem__, scaled))
 
 
 @lru_cache(maxsize=_TABLES)

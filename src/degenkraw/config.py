@@ -123,6 +123,7 @@ _DEFAULTS = {
 }
 
 _KNOWN_KEYS = {*_DEFAULTS, "series_order"}
+_INT_KEYS = ("n_max", "series_order", "precision_digits", "seed")  # named as Config's fields
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,21 @@ class Config:
 
 def _parse_fraction(raw, key: str) -> Fraction:
     try:
+        if isinstance(raw, bool):  # as_fraction would read true as 1
+            raise TypeError("a bool is not a rational")
         return as_fraction(raw)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"field {key!r}: cannot parse {raw!r} as a rational") from exc
+
+
+def _parse_int(raw, key: str) -> int:
+    """An int or an integer string; int() alone would read 10.7 as 10 and true as 1."""
+    try:
+        if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+            raise TypeError(f"a {type(raw).__name__} is not an integer")
+        return int(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {key!r}: {raw!r} is not an integer") from exc
 
 
 def config_from_dict(data: dict) -> Config:
@@ -181,19 +194,8 @@ def config_from_dict(data: dict) -> Config:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    try:
-        return Config(
-            params=params,
-            n_max=int(merged["n_max"]),
-            series_order=int(merged["series_order"]) if "series_order" in merged else None,
-            precision_digits=int(merged["precision_digits"]),
-            seed=int(merged["seed"]),
-            output_format=str(merged["output_format"]),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    ints = {key: _parse_int(merged[key], key) for key in _INT_KEYS if key in merged}
+    return Config(params=params, output_format=str(merged["output_format"]), **ints)
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> Config:

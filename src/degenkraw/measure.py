@@ -58,6 +58,7 @@ DEFAULT_DIGITS = 60
 _GUARD_DIGITS = 15
 _QUAD_EXTRA_BITS = 20  # mpmath.quad calls the integrand this far above the working precision
 _TOP_SLACK = 64  # bits a term w * f * density with f <= 1 may reach above top(w) + top(density)
+_COMPARE_DIGITS = 10  # digits over the model's precision at which printed comparisons run
 
 
 def _context(digits=None, *, prec=None):
@@ -71,6 +72,11 @@ def _context(digits=None, *, prec=None):
     else:
         ctx.prec = prec
     return ctx
+
+
+def _nstr(num: MPContext, x, digits: int = 20) -> str:
+    """x rounded to the precision of the context num, then printed to `digits` digits."""
+    return num.nstr(num.mpf(x), digits, strip_zeros=False)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import bracket_y, deg_falling, epsilon, rho_scaling
+from .combinat import binomial_sum, bracket_y, deg_falling, epsilon, rho_scaling
 from .config import Params
-from .polys import K_series, P_series, _triangular_sums
+from .polys import K_series, P_series
 from .series import XPoly, as_fraction
 
 
@@ -150,9 +150,5 @@ def translation_series_residuals(params: Params, y, order: int) -> list[XPoly]:
     """
     y = as_fraction(y)
     fam = P_series(params, order).members
-    expanded = _triangular_sums(lambda n, k: math.comb(n, k) * y ** (n - k), fam)
-    out = []
-    for member, acc in zip(fam, expanded):
-        shifted = member(XPoly((y, 1)))  # substitute x -> x + y
-        out.append(shifted - acc)
-    return out
+    shift = XPoly((y, 1))  # substitute x -> x + y
+    return [m(shift) - binomial_sum(n, lambda j: y**j, fam.__getitem__) for n, m in enumerate(fam)]

@@ -13,10 +13,12 @@ zeta(d/dx), zeta = theta^{-1}, so zeta(D) K_n = n K_{n-1} (acceptance
 test_polys).  Every other construction here (coefficient recurrence,
 basis changes through the Riordan tables, the double Stirling sum,
 partial Bell polynomial formulas) is an independent route to the same
-members, each a triangular sum sum_{k<=n} w(n, k) b_k over its own basis
-and weights, and the test suite holds all routes to exact rational
-equality.  Routes suffixed "literal" evaluate alternate printed forms
-whose residuals the audit reports; they are not expected to match.
+members, and the tests hold all routes to exact rational equality.  A basis
+change is a triangular sum sum_{k<=n} w(n,k) b_k (``_triangular_sums``); a
+Bell route, addition identity or monomial expansion is a binomial
+convolution sum_k binom(n,k) a_{n-k} b_k (``combinat.binomial_sum``).
+Routes suffixed "literal" evaluate alternate printed forms whose residuals
+the audit reports; they are not expected to match.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from functools import lru_cache
 
 from .combinat import (
     _TABLES,
+    binomial_sum,
     bracket_y,
     deg_falling,
     epsilon,
@@ -125,13 +128,9 @@ def c_coeffs(n_max: int, params: Params) -> list[Fraction]:
     return c
 
 
-def _as_xpoly(c) -> XPoly:
-    return c if isinstance(c, XPoly) else XPoly.const(c)
-
-
 def _triangular_sums(weight, basis) -> tuple[XPoly, ...]:
     """members[n] = sum_{k<=n} weight(n, k) * basis[k] for each n < len(basis):
-    the one assembly behind every route that expands over a basis."""
+    the assembly of every route whose weights are not binomial."""
     members = []
     for n in range(len(basis)):
         acc = XPoly()
@@ -139,6 +138,15 @@ def _triangular_sums(weight, basis) -> tuple[XPoly, ...]:
             acc = acc + weight(n, k) * basis[k]
         members.append(acc)
     return tuple(members)
+
+
+def _bell_sums(args, basis) -> tuple[XPoly, ...]:
+    """members[n] = sum_k binom(n,k) A_{n-k} basis[k] for each n < len(basis), with
+    A_j = sum_i (-1)^i i! B_{j,i}(args), the composition derivative with the
+    outer derivatives (-1)^i i! of 1/y at y = 1."""
+    outer = [(-1) ** i * math.factorial(i) for i in range(len(basis))]
+    consts = [faa_derivative(outer, args, j) for j in range(len(basis))]
+    return tuple(binomial_sum(n, consts.__getitem__, basis.__getitem__) for n in range(len(basis)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +164,7 @@ def K_series(params: Params, n_max: int) -> PolyFamily:
     order = n_max + 2
     omega_x = (theta_series(params.q, order) * XPoly.x()).exp()  # ((1+t)/(1+qt))^x
     psi = omega_x * deg_exp_xi_series(params, order).reciprocal()
-    members = tuple(_as_xpoly(math.factorial(n) * psi.coeff(n)) for n in range(n_max + 1))
-    return PolyFamily(params, n_max, members, "series")
+    return PolyFamily(params, n_max, tuple(psi.derivative_list()[: n_max + 1]), "series")
 
 
 @lru_cache(maxsize=_TABLES)
@@ -198,12 +205,7 @@ def K_bell(params: Params, n_max: int, variant: str = "corrected") -> PolyFamily
         args = mu_coeffs(n_max + 1, params)
     else:
         args = exact_moments(params, n_max + 1)
-    outer = [(-1) ** i * math.factorial(i) for i in range(n_max + 1)]
-    consts = [faa_derivative(outer, args, j) for j in range(n_max + 1)]
-    members = _triangular_sums(
-        lambda n, k: math.comb(n, k) * consts[n - k],
-        [bracket_y(k, params.q) for k in range(n_max + 1)],
-    )
+    members = _bell_sums(args, [bracket_y(k, params.q) for k in range(n_max + 1)])
     return PolyFamily(params, n_max, members, f"bell-{variant}")
 
 
@@ -259,9 +261,7 @@ def classical_K(p, r, n_max: int) -> PolyFamily:
     x = XPoly.x()
     a = TSeries([gen_binomial(x, n) for n in range(order + 1)], order)
     b = TSeries([gen_binomial(-x - r, n) * q**n for n in range(order + 1)], order)
-    prod = a * b
-    members = tuple(_as_xpoly(math.factorial(n) * prod.coeff(n)) for n in range(n_max + 1))
-    return PolyFamily(None, n_max, members, "classical")
+    return PolyFamily(None, n_max, tuple((a * b).derivative_list()[: n_max + 1]), "classical")
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +276,15 @@ def P_series(params: Params, n_max: int) -> PolyFamily:
     x = XPoly.x()
     exz = TSeries([x**n / math.factorial(n) for n in range(order + 1)], order)
     series = exz * laplace_series(params, order).reciprocal()
-    members = tuple(_as_xpoly(math.factorial(n) * series.coeff(n)) for n in range(n_max + 1))
-    return PolyFamily(params, n_max, members, "p-series")
+    return PolyFamily(params, n_max, tuple(series.derivative_list()[: n_max + 1]), "p-series")
 
 
 @lru_cache(maxsize=_TABLES)
 def P_bell(params: Params, n_max: int) -> PolyFamily:
     """Bell-polynomial route: P_n = sum_k binom(n,k) [sum_i (-1)^i i! B_{n-k,i}(M)] x^k,
     with M the exact moment vector."""
-    outer = [(-1) ** i * math.factorial(i) for i in range(n_max + 1)]
-    moments = exact_moments(params, n_max + 1)
-    consts = [faa_derivative(outer, moments, j) for j in range(n_max + 1)]
     x = XPoly.x()
-    members = _triangular_sums(
-        lambda n, k: math.comb(n, k) * consts[n - k], [x**k for k in range(n_max + 1)]
-    )
+    members = _bell_sums(exact_moments(params, n_max + 1), [x**k for k in range(n_max + 1)])
     return PolyFamily(params, n_max, members, "p-bell")
 
 
@@ -334,11 +328,7 @@ def monomial_from_K(n: int, params: Params) -> XPoly:
     if n < 0:
         raise ValueError("exponent must be nonnegative")
     companions = P_from_K(params, n).members
-    moments = exact_moments(params, n)
-    acc = XPoly()
-    for k in range(n + 1):
-        acc = acc + math.comb(n, k) * moments[n - k] * companions[k]
-    return acc
+    return binomial_sum(n, exact_moments(params, n).__getitem__, companions.__getitem__)
 
 
 def addition_P3(n: int, params: Params, variant: str = "corrected") -> XYPoly:
@@ -353,35 +343,28 @@ def addition_P3(n: int, params: Params, variant: str = "corrected") -> XYPoly:
     if variant not in ("corrected", "literal"):
         raise ValueError(f"unknown P3 variant {variant!r}")
     k_fam = K_series(params, n)
-    mu = mu_coeffs(n, params)
-    lhs = k_fam[n](XYPoly.x() + XYPoly.y())
-    rhs = XYPoly()
-    for k in range(n + 1):
-        for l in range(n - k + 1):
-            m = n - k - l
-            weight = Fraction(math.factorial(n)) / (
-                math.factorial(k) * math.factorial(l) * math.factorial(m)
-            )
-            second = (
-                XYPoly.from_y_poly(k_fam[l])
-                if variant == "corrected"
-                else XYPoly.from_x_poly(k_fam[l])
-            )
-            rhs = rhs + weight * mu[m] * XYPoly.from_x_poly(k_fam[k]) * second
-    return lhs - rhs
+    firsts = [XYPoly.from_x_poly(m) for m in k_fam.members]
+    lift = XYPoly.from_y_poly if variant == "corrected" else XYPoly.from_x_poly
+    seconds = [lift(m) for m in k_fam.members]
+    # sum_m binom(n,m) mu_m [sum_k binom(n-m,k) K_k(x) K_{n-m-k}(second)]
+    rhs = binomial_sum(
+        n,
+        lambda j: binomial_sum(j, seconds.__getitem__, firsts.__getitem__),
+        mu_coeffs(n, params).__getitem__,
+    )
+    return k_fam[n](XYPoly.x() + XYPoly.y()) - rhs
 
 
 def addition_P4(n: int, params: Params) -> XYPoly:
     """Residual of K_n(x+y) - sum_k binom(n,k) K_k(x) [y]_{n-k}; zero when the
     bracket-factorial addition identity holds."""
     k_fam = K_series(params, n)
-    lhs = k_fam[n](XYPoly.x() + XYPoly.y())
-    rhs = XYPoly()
-    for k in range(n + 1):
-        rhs = rhs + math.comb(n, k) * XYPoly.from_x_poly(k_fam[k]) * XYPoly.from_y_poly(
-            bracket_y(n - k, params.q)
-        )
-    return lhs - rhs
+    rhs = binomial_sum(
+        n,
+        lambda j: XYPoly.from_y_poly(bracket_y(j, params.q)),
+        lambda k: XYPoly.from_x_poly(k_fam[k]),
+    )
+    return k_fam[n](XYPoly.x() + XYPoly.y()) - rhs
 
 
 # ---------------------------------------------------------------------------

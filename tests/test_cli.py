@@ -75,6 +75,28 @@ class TestConfig:
             config_from_dict({"unknown_key": 1})
         with pytest.raises(ConfigError):
             config_from_dict({"p": "not-a-number"})
+        # int() would truncate a float and read a bool as 0 or 1, and
+        # as_fraction reads a bool as an int: each would run another point
+        for bad in (
+            {"n_max": 10.7},
+            {"n_max": 10.0},
+            {"n_max": True},
+            {"n_max": "10.7"},
+            {"seed": 3.5},
+            {"seed": False},
+            {"series_order": 16.0},
+            {"series_order": None},
+            {"precision_digits": 60.5},
+            {"beta": True},
+            {"r": True},
+            {"beta": 1.5},
+        ):
+            with pytest.raises(ConfigError):
+                config_from_dict(bad)
+
+    def test_integer_strings_accepted(self):
+        cfg = config_from_dict({"n_max": "4", "seed": "3", "series_order": "20", "beta": 2})
+        assert (cfg.n_max, cfg.seed, cfg.series_order, cfg.params.beta) == (4, 3, 20, 2)
 
     def test_default_order_follows_n_max(self, config_file, capsys):
         # unset by file and flags, series_order is max(16, n_max + 2); an
@@ -101,6 +123,9 @@ class TestConfig:
         code = main(["polys", "--params", str(bad)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        bad.write_text('{"n_max": 10.7, "beta": true}')
+        assert main(["polys", "--params", str(bad)]) == 2
+        assert "'beta'" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self):
         assert main(["polys", "--params", "/nonexistent/x.json"]) == 2

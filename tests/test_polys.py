@@ -31,7 +31,7 @@ from degenkraw.polys import (
     xi_derivs,
     xi_series,
 )
-from degenkraw.series import TSeries, XPoly
+from degenkraw.series import TSeries, XPoly, XYPoly
 
 
 class TestCoefficientData:
@@ -272,6 +272,26 @@ class TestAdditionIdentities:
     def test_p4_zero(self, params):
         for n in range(11):
             assert addition_P4(n, params).is_zero()
+
+    def test_identity_sides_read_no_binomial_sum(self, monkeypatch):
+        # the canonical families and substitution, one side of every
+        # addition, translation and monomial check, never call the binomial
+        # kernel: with it disabled they still build, and the kernel's side fails
+        import degenkraw.combinat as cb
+        import degenkraw.operators as ops
+        import degenkraw.polys as polys
+
+        def disabled(*args):
+            raise AssertionError("the binomial kernel was read")
+
+        for module in (cb, polys, ops):
+            monkeypatch.setattr(module, "binomial_sum", disabled)
+        params = Params.make("-5/3", "4/7", "5/9", "7/4")
+        k = K_series.__wrapped__(params, 6)
+        P_series.__wrapped__(params, 6)
+        k[6](XYPoly.x() + XYPoly.y())
+        with pytest.raises(AssertionError):
+            addition_P4(6, params)
 
     def test_p4_y_zero_specialization(self, params):
         from degenkraw.combinat import bracket_y
