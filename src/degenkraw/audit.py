@@ -20,7 +20,7 @@ either evaluates audit checks or is one of the checks only ``verify`` runs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -68,37 +68,6 @@ class AuditEntry:
     @property
     def passed(self) -> bool:
         return self.status in ("exact-match", "match-within-tol")
-
-
-@dataclass
-class AuditReport:
-    entries: list[AuditEntry] = field(default_factory=list)
-
-    def add(self, entry: AuditEntry):
-        if any(e.formula_id == entry.formula_id for e in self.entries):
-            raise ValueError(f"duplicate audit entry {entry.formula_id}")
-        self.entries.append(entry)
-
-    @property
-    def required_ok(self) -> bool:
-        return all(e.passed for e in self.entries if e.required)
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.required_ok else 1
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "formula_id": e.formula_id,
-                "anchor": e.anchor,
-                "variant": e.variant,
-                "status": e.status,
-                "residual": e.residual,
-                "notes": e.notes,
-            }
-            for e in sorted(self.entries, key=lambda e: e.formula_id)
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +486,14 @@ CHECKS = (
 )
 
 
-def run_audit(config: Config) -> AuditReport:
+def run_audit(config: Config) -> list[AuditEntry]:
+    """Every entry of ``CHECKS`` at `config`, sorted by formula_id."""
+    ids = sorted(check.formula_id for check in CHECKS)
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise ValueError(f"duplicate audit entry {a}")
     ctx = RunContext.of(config)
-    report = AuditReport()
-    for check in CHECKS:
-        report.add(check.entry(ctx))
-    return report
+    return sorted((check.entry(ctx) for check in CHECKS), key=lambda e: e.formula_id)
 
 
 # ---------------------------------------------------------------------------

@@ -73,18 +73,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (argparse dest, config field) of each flag that overrides the config file
+_FLAG_FIELDS = (
+    ("n_max", "n_max"),
+    ("order", "series_order"),
+    ("digits", "precision_digits"),
+    ("seed", "seed"),
+    ("format", "output_format"),
+)
+
+
 def _config_from_args(args) -> Config:
-    overrides = {}
-    if args.n_max is not None:
-        overrides["n_max"] = args.n_max
-    if args.order is not None:
-        overrides["series_order"] = args.order
-    if args.digits is not None:
-        overrides["precision_digits"] = args.digits
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.format is not None:
-        overrides["output_format"] = args.format
+    flags = {field: getattr(args, dest) for dest, field in _FLAG_FIELDS}
+    overrides = {field: value for field, value in flags.items() if value is not None}
     return load_config(args.params, overrides)
 
 
@@ -202,16 +203,15 @@ def cmd_sample(config: Config, count: int) -> str:
 def cmd_audit(config: Config) -> tuple[str, int]:
     from .audit import run_audit
 
-    report = run_audit(config)
-    rows = report.to_rows()
+    entries = run_audit(config)
+    failures = sum(1 for e in entries if e.required and not e.passed)
+    rows = [{k: v for k, v in vars(e).items() if k != "required"} for e in entries]
     summary = {
         "entries": len(rows),
-        "required_failures": sum(
-            1 for e in report.entries if e.required and not e.passed
-        ),
-        "result": "ok" if report.required_ok else "canonical-invariant-failure",
+        "required_failures": failures,
+        "result": "canonical-invariant-failure" if failures else "ok",
     }
-    return _render(config, "audit", rows, summary), report.exit_code
+    return _render(config, "audit", rows, summary), 1 if failures else 0
 
 
 def cmd_verify(config: Config, prop: str, variant: str) -> tuple[str, int]:
@@ -221,32 +221,25 @@ def cmd_verify(config: Config, prop: str, variant: str) -> tuple[str, int]:
     return f"{prop}: {'PASS' if passed else 'FAIL'} ({detail})\n", 0 if passed else 1
 
 
+# subcommand -> (config, args) -> (stdout text, exit code)
+_COMMANDS = {
+    "polys": lambda config, args: (cmd_polys(config, args.route), 0),
+    "moments": lambda config, args: (cmd_moments(config, args.m_max), 0),
+    "sample": lambda config, args: (cmd_sample(config, args.count), 0),
+    "audit": lambda config, args: cmd_audit(config),
+    "verify": lambda config, args: cmd_verify(config, args.prop, args.variant),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if args.command == "polys":
-            sys.stdout.write(cmd_polys(config, args.route))
-            return 0
-        if args.command == "moments":
-            sys.stdout.write(cmd_moments(config, args.m_max))
-            return 0
-        if args.command == "sample":
-            sys.stdout.write(cmd_sample(config, args.count))
-            return 0
-        if args.command == "audit":
-            text, code = cmd_audit(config)
-            sys.stdout.write(text)
-            return code
-        if args.command == "verify":
-            text, code = cmd_verify(config, args.prop, args.variant)
-            sys.stdout.write(text)
-            return code
-        raise AssertionError(f"unhandled command {args.command}")
+        text, code = _COMMANDS[args.command](_config_from_args(args), args)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

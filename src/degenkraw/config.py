@@ -163,8 +163,6 @@ class Config:
 
 def _parse_fraction(raw, key: str) -> Fraction:
     try:
-        if isinstance(raw, bool):  # as_fraction would read true as 1
-            raise TypeError("a bool is not a rational")
         return as_fraction(raw)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"field {key!r}: cannot parse {raw!r} as a rational") from exc

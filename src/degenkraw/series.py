@@ -6,7 +6,7 @@ rationals (`fractions.Fraction`).  Three value types live here:
 * ``XPoly``   dense univariate polynomials with Fraction coefficients,
 * ``XYPoly``  sparse bivariate polynomials (used by the addition identities),
 * ``TSeries`` truncated formal power series of a fixed order N whose
-  coefficients may be Fractions, ``XPoly`` values, or mpmath floats.
+  coefficients are Fractions or ``XPoly`` values.
 
 Series arithmetic never consults coefficients beyond the truncation order,
 so two pipelines that share an order are comparable coefficient by
@@ -25,10 +25,10 @@ class NonInvertibleSeries(ArithmeticError):
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and 'a/b' strings to Fraction."""
+    """Coerce ints, Fractions and 'a/b' strings to Fraction; a bool is none of them."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -333,8 +333,8 @@ def _unit_inverse(c):
 class TSeries:
     """Formal power series truncated at a fixed order N (terms t^0 .. t^N).
 
-    Coefficients may be Fractions, XPoly values, or mpmath floats; binary
-    operations require both operands to share the order.  All arithmetic
+    Coefficients are Fractions or XPoly values; binary operations require
+    both operands to share the order.  All arithmetic
     ignores coefficients beyond index N, so results are exact modulo t^{N+1}.
     """
 

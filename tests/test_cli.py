@@ -14,8 +14,8 @@ import pytest
 from mpmath import mp
 
 import degenkraw
-from degenkraw.audit import CHECKS, PROPERTIES, RunContext
-from degenkraw.cli import cmd_audit, cmd_moments, cmd_polys, cmd_sample, main
+from degenkraw.audit import CHECKS, PROPERTIES, Check, RunContext, run_audit
+from degenkraw.cli import cmd_audit, cmd_moments, cmd_polys, cmd_sample, cmd_verify, main
 from degenkraw.config import ConfigError, config_from_dict, load_config
 
 SET_A_DICT = {
@@ -75,8 +75,8 @@ class TestConfig:
             config_from_dict({"unknown_key": 1})
         with pytest.raises(ConfigError):
             config_from_dict({"p": "not-a-number"})
-        # int() would truncate a float and read a bool as 0 or 1, and
-        # as_fraction reads a bool as an int: each would run another point
+        # int() would truncate a float and read a bool as 0 or 1: each would
+        # run another point; as_fraction rejects a bool in a rational field
         for bad in (
             {"n_max": 10.7},
             {"n_max": 10.0},
@@ -366,24 +366,54 @@ class TestAuditCommand:
         capsys.readouterr()
 
 
-class TestAuditReportContract:
-    def test_exit_code_flips_only_on_required_failure(self):
-        from degenkraw.audit import AuditEntry, AuditReport
+def _stub_check(formula_id, required, status):
+    variant = "canonical" if required else "literal"
+    return Check(formula_id, "", variant, required, lambda ctx: (status, "0", ""))
 
-        rep = AuditReport()
-        rep.add(AuditEntry("a", "", "canonical", "exact-match", "0", "", True))
-        rep.add(AuditEntry("b", "", "literal", "mismatch", "1/2", "", False))
-        assert rep.exit_code == 0
-        rep.add(AuditEntry("c", "", "canonical", "mismatch", "1/3", "", True))
-        assert rep.exit_code == 1
 
-    def test_duplicate_formula_variant_rejected(self):
-        from degenkraw.audit import AuditEntry, AuditReport
+class TestAuditEntries:
+    def test_exit_code_flips_only_on_required_failure(self, monkeypatch):
+        cfg = small_config(n_max=0, output_format="csv")
+        checks = (_stub_check("b", False, "mismatch"), _stub_check("a", True, "exact-match"))
+        monkeypatch.setattr("degenkraw.audit.CHECKS", checks)
+        text, code = cmd_audit(cfg)
+        assert code == 0
+        assert [line[:2] for line in text.splitlines()[1:3]] == ["a,", "b,"]  # sorted
+        assert text.endswith("# entries=2\n# required_failures=0\n# result=ok\n")
+        monkeypatch.setattr("degenkraw.audit.CHECKS", checks + (_stub_check("c", True, "mismatch"),))
+        text, code = cmd_audit(cfg)
+        assert code == 1
+        assert text.endswith("# required_failures=1\n# result=canonical-invariant-failure\n")
 
-        rep = AuditReport()
-        rep.add(AuditEntry("a", "", "canonical", "exact-match", "0", "", True))
-        with pytest.raises(ValueError):
-            rep.add(AuditEntry("a", "", "canonical", "exact-match", "0", "", True))
+    def test_duplicate_formula_id_rejected(self, monkeypatch):
+        check = _stub_check("a", True, "exact-match")
+        checks = (check, _stub_check("b", True, "exact-match"), check)
+        monkeypatch.setattr("degenkraw.audit.CHECKS", checks)
+        with pytest.raises(ValueError, match="duplicate audit entry a"):
+            run_audit(small_config(n_max=0))
+
+
+# each subcommand on cheap arguments, with the overrides its flags make and
+# the matching cmd_* call
+MAIN_CASES = {
+    "polys": (["--route", "epsilon", "--n-max", "3"], {"n_max": 3},
+              lambda cfg: (cmd_polys(cfg, "epsilon"), 0)),
+    "moments": (["--m-max", "2", "--format", "csv"], {"output_format": "csv"},
+                lambda cfg: (cmd_moments(cfg, 2), 0)),
+    "sample": (["--count", "1000", "--seed", "7"], {"seed": 7},
+               lambda cfg: (cmd_sample(cfg, 1000), 0)),
+    "audit": (["--n-max", "1", "--digits", "40"], {"n_max": 1, "precision_digits": 40},
+              cmd_audit),
+    "verify": (["--property", "p3", "--variant", "literal", "--order", "20"],
+               {"series_order": 20}, lambda cfg: cmd_verify(cfg, "p3", "literal")),
+}
+
+
+@pytest.mark.parametrize("command", list(MAIN_CASES))
+def test_main_prints_what_the_command_returns(config_file, capsys, command):
+    flags, overrides, run = MAIN_CASES[command]
+    code = main([command, "--params", config_file] + flags)
+    assert (capsys.readouterr().out, code) == run(load_config(config_file, overrides))
 
 
 # stdout of `verify --n-max 8` on set A: part of the CLI contract, byte for byte

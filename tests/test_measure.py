@@ -128,6 +128,10 @@ class TestParams:
             Params.make(-1, 1, "3/2", 1)
         with pytest.raises(ValueError):
             Params.make(-1, 1, "1/2", 0)
+        with pytest.raises(TypeError):
+            Params.make(-1, True, "1/2", True)  # not beta = r = 1
+        with pytest.raises(TypeError):
+            Params.make(-1, 1, "1/2", False)
 
     def test_q_is_complement(self):
         p = Params.make("-1/2", 2, "3/5", 3)

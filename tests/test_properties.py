@@ -1,13 +1,21 @@
 """Property tests over the valid parameter space, beyond the sets A, B and C:
 every canonical route builds the canonical members, and the addition,
-translation and monomial identities hold exactly, at random rational points
-with small denominators."""
+translation, monomial and lowering identities hold exactly, at random
+rational points with small denominators.  ``polys`` exits 0 on a valid
+point and 2, with one line of error and no traceback, on a point with one
+field out of its range or of the wrong type."""
 
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from degenkraw.cli import main
 from degenkraw.config import Params
 from degenkraw.operators import translation_series_residuals
 from degenkraw.polys import (
@@ -63,3 +71,65 @@ def test_identity_residuals_vanish(params, n, y):
     assert addition_P4(n, params).is_zero()
     assert all(res.is_zero() for res in translation_series_residuals(params, y, n))
     assert monomial_from_K(n, params) == XPoly([0] * n + [1])
+
+
+@PROPERTY
+@given(_points(), st.integers(1, 5))
+def test_lowering_rule_difference_form(params, n):
+    # zeta(D) K_n = n K_{n-1} as K_n(x+1) - K_n(x) = n (K_{n-1}(x) - q K_{n-1}(x+1));
+    # acceptance 2c checks it on the sets A, B and C only
+    fam, step = K_series(params, n), XPoly((1, 1))  # x + 1
+    assert fam[n](step) - fam[n] == n * (fam[n - 1] - params.q * fam[n - 1](step))
+
+
+def _nonnegative():
+    return st.builds(F, st.integers(0, 6), st.integers(1, 4))
+
+
+# values out of each rational field's range
+_OUT_OF_RANGE = {
+    "lambda": _nonnegative(),
+    "beta": _nonnegative().map(lambda f: -f),
+    "p": st.one_of(_nonnegative().map(lambda f: -f), _nonnegative().map(lambda f: 1 + f)),
+    "r": _nonnegative().map(lambda f: -f),
+}
+
+
+@st.composite
+def _config_fields(draw):
+    """(fields of a config file, whether they are valid): a valid point, or one
+    whose rational field is out of range or a bool, or whose integer field is a
+    float or a bool."""
+    params = draw(_points())
+    fields = {
+        "lambda": str(params.lam),
+        "beta": str(params.beta),
+        "p": str(params.p),
+        "r": str(params.r),
+        "n_max": draw(st.integers(0, 5)),
+    }
+    spoilt = draw(st.sampled_from((None, *_OUT_OF_RANGE, "n_max", "seed")))
+    if spoilt in _OUT_OF_RANGE:
+        fields[spoilt] = draw(st.one_of(_OUT_OF_RANGE[spoilt].map(str), st.booleans()))
+    elif spoilt is not None:
+        fields[spoilt] = draw(st.one_of(st.floats(-5, 5), st.booleans()))
+    return fields, spoilt is None
+
+
+@PROPERTY
+@given(_config_fields(), st.sampled_from(K_ROUTES + P_ROUTES + ("classical",)))
+def test_polys_exits_0_or_2_without_a_traceback(fields_valid, route):
+    fields, valid = fields_valid
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "params.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(fields, fh)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["polys", "--params", path, "--route", route])
+    if valid:
+        assert (code, err.getvalue()) == (0, "")
+        assert len(json.loads(out.getvalue())["rows"]) == fields["n_max"] + 1
+    else:
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -37,6 +37,8 @@ class TestXPoly:
         assert XPoly((1, 2, 0, 0)).coeffs == (F(1), F(2))
         assert XPoly(()).degree == -1
         assert XPoly((0,)).is_zero()
+        with pytest.raises(TypeError):
+            XPoly((True, False, True))  # a bool is not a rational, not 1 + x^2
 
     def test_ring_ops(self):
         x = XPoly.x()
