@@ -59,7 +59,7 @@ from .polys import (
     mu_coeffs,
     xi_derivs,
 )
-from .series import NonInvertibleSeries, TSeries, XPoly, XYPoly, gen_binomial
+from .series import NonInvertibleSeries, TSeries, XPoly, gen_binomial
 
 __version__ = "0.1.0"
 

@@ -227,8 +227,26 @@ def _p3_addition(c: RunContext):
     return _exact(_p3_gap(c, "corrected"), "nonzero residual at n={0}", notes)
 
 
+def _xy_terms(residual) -> str:
+    """An addition residual, a series in y over XPoly, as its terms c*x^i*y^j
+    in (i, j) order."""
+
+    def power(var, e):
+        return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+    terms = sorted(
+        ((i, j), c) for j, p in enumerate(residual.coeffs) for i, c in enumerate(p.coeffs) if c
+    )
+    parts = []
+    for (i, j), c in terms:
+        mono = "*".join(s for s in (power("x", i), power("y", j)) if s)
+        parts.append(f"{c}*{mono}" if mono else str(c))
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
 def _p3_addition_literal(c: RunContext):
     gap = _first_gap((1,), lambda n: addition_P3(n, c.params, "literal"), lambda n: 0)
+    gap = gap and (gap[0], _xy_terms(gap[1]))
     return _exact(gap, "n={0}: {1}", "expected divergence of the literal reading; recorded")
 
 

@@ -235,7 +235,7 @@ _FALLING_Y = _prefix_products(lambda n: _X - (n - 1))  # the falling factorials 
 def binomial_sum(n: int, a: Callable[[int], object], b: Callable[[int], object]):
     """sum_{k=0}^{n} binom(n,k) a(n-k) b(k), the binomial convolution behind
     every Appell and Sheffer identity.  It starts from its k = 0 term, so the
-    terms may lie in any ring (Fraction, XPoly, XYPoly) with no zero given."""
+    terms may lie in any ring (Fraction, XPoly, TSeries) with no zero given."""
     total = a(n) * b(0)
     for k in range(1, n + 1):
         total = total + math.comb(n, k) * a(n - k) * b(k)

@@ -42,7 +42,7 @@ from .combinat import (
     varrho,
 )
 from .config import Params, deg_exp_series, exact_moments, laplace_series
-from .series import TSeries, XPoly, XYPoly, as_fraction, log1p_scaled_series
+from .series import TSeries, XPoly, as_fraction, log1p_scaled_series
 
 K_ROUTES = (
     "series",
@@ -331,40 +331,56 @@ def monomial_from_K(n: int, params: Params) -> XPoly:
     return binomial_sum(n, exact_moments(params, n).__getitem__, companions.__getitem__)
 
 
-def addition_P3(n: int, params: Params, variant: str = "corrected") -> XYPoly:
+def _in_y(coeffs, n: int) -> TSeries:
+    """The series in y of order n with these coefficients, lowest first; it
+    raises rather than truncate, so no residual term can be dropped."""
+    if len(coeffs) > n + 1:
+        raise ValueError(f"degree {len(coeffs) - 1} in y exceeds the series order {n}")
+    return TSeries(coeffs, n)
+
+
+def _shifted(m: XPoly, n: int) -> TSeries:
+    """m(x+y) as a series in y of order n over XPoly, by Taylor's formula:
+    the coefficient of y^j is m^(j)(x) / j!."""
+    derivatives = [m]
+    for _ in range(m.degree):
+        derivatives.append(derivatives[-1].derivative())
+    return _in_y([d / math.factorial(j) for j, d in enumerate(derivatives)], n)
+
+
+def addition_P3(n: int, params: Params, variant: str = "corrected") -> TSeries:
     """Residual of the three-fold addition identity
 
-    K_n(x+y) - sum_{k+l+m=n} n!/(k!l!m!) K_k(x) K_l(y) mu_m.
+    K_n(x+y) - sum_{k+l+m=n} n!/(k!l!m!) K_k(x) K_l(y) mu_m,
 
-    The corrected reading pairs the second factor with y; the literal
-    variant repeats x there (as the alternate printed form does) and is
-    nonzero in general.  Zero residual means the identity holds.
+    a series in y of order n whose coefficient j is the XPoly in x that
+    multiplies y^j.  The corrected reading pairs the second factor with y;
+    the literal variant repeats x there (as the alternate printed form
+    does) and is nonzero in general.  Zero residual means the identity holds.
     """
     if variant not in ("corrected", "literal"):
         raise ValueError(f"unknown P3 variant {variant!r}")
     k_fam = K_series(params, n)
-    firsts = [XYPoly.from_x_poly(m) for m in k_fam.members]
-    lift = XYPoly.from_y_poly if variant == "corrected" else XYPoly.from_x_poly
-    seconds = [lift(m) for m in k_fam.members]
+    if variant == "corrected":
+        seconds = [_in_y(m.coeffs, n) for m in k_fam.members]
+    else:
+        seconds = [TSeries([m], n) for m in k_fam.members]
     # sum_m binom(n,m) mu_m [sum_k binom(n-m,k) K_k(x) K_{n-m-k}(second)]
     rhs = binomial_sum(
         n,
-        lambda j: binomial_sum(j, seconds.__getitem__, firsts.__getitem__),
+        lambda j: binomial_sum(j, seconds.__getitem__, k_fam.__getitem__),
         mu_coeffs(n, params).__getitem__,
     )
-    return k_fam[n](XYPoly.x() + XYPoly.y()) - rhs
+    return _shifted(k_fam[n], n) - rhs
 
 
-def addition_P4(n: int, params: Params) -> XYPoly:
-    """Residual of K_n(x+y) - sum_k binom(n,k) K_k(x) [y]_{n-k}; zero when the
-    bracket-factorial addition identity holds."""
+def addition_P4(n: int, params: Params) -> TSeries:
+    """Residual of K_n(x+y) - sum_k binom(n,k) K_k(x) [y]_{n-k}, a series in y
+    of order n over XPoly; zero when the bracket-factorial addition identity
+    holds."""
     k_fam = K_series(params, n)
-    rhs = binomial_sum(
-        n,
-        lambda j: XYPoly.from_y_poly(bracket_y(j, params.q)),
-        lambda k: XYPoly.from_x_poly(k_fam[k]),
-    )
-    return k_fam[n](XYPoly.x() + XYPoly.y()) - rhs
+    rhs = binomial_sum(n, lambda j: _in_y(bracket_y(j, params.q).coeffs, n), k_fam.__getitem__)
+    return _shifted(k_fam[n], n) - rhs
 
 
 # ---------------------------------------------------------------------------

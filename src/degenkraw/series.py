@@ -1,12 +1,12 @@
 """Exact polynomial and truncated power-series arithmetic.
 
 Every canonical computation in this package runs over arbitrary-precision
-rationals (`fractions.Fraction`).  Three value types live here:
+rationals (`fractions.Fraction`).  Two value types live here:
 
 * ``XPoly``   dense univariate polynomials with Fraction coefficients,
-* ``XYPoly``  sparse bivariate polynomials (used by the addition identities),
 * ``TSeries`` truncated formal power series of a fixed order N whose
-  coefficients are Fractions or ``XPoly`` values.
+  coefficients are Fractions or ``XPoly`` values; a polynomial in x and y
+  is a series in y over ``XPoly`` (the addition identities).
 
 Series arithmetic never consults coefficients beyond the truncation order,
 so two pipelines that share an order are comparable coefficient by
@@ -142,8 +142,8 @@ class XPoly:
         return hash(self.coeffs)
 
     def __call__(self, value):
-        """Evaluate by Horner's rule; `value` may be a scalar, XPoly or XYPoly,
-        and the result lies in its ring, a constant polynomial's too."""
+        """Evaluate by Horner's rule; `value` may be a scalar or an XPoly, and
+        the result lies in its ring, a constant polynomial's too."""
         if len(self.coeffs) <= 1:
             return 0 * value + self.coeff(0)
         result = self.coeffs[-1]
@@ -177,119 +177,6 @@ class XPoly:
                 parts.append(f"{c}*x" if c != 1 else "x")
             else:
                 parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-# ---------------------------------------------------------------------------
-# bivariate polynomials
-# ---------------------------------------------------------------------------
-
-class XYPoly:
-    """Sparse polynomial in two variables over Fraction.
-
-    Stored as a mapping (deg_x, deg_y) -> coefficient with no zero entries.
-    Used to state the two-variable addition identities exactly.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for key, c in dict(terms or {}).items():
-            c = as_fraction(c)
-            if c:
-                clean[(int(key[0]), int(key[1]))] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XYPoly is immutable")
-
-    @classmethod
-    def const(cls, c) -> "XYPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def x(cls) -> "XYPoly":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def y(cls) -> "XYPoly":
-        return cls({(0, 1): 1})
-
-    @classmethod
-    def from_x_poly(cls, p: XPoly) -> "XYPoly":
-        return cls({(i, 0): c for i, c in enumerate(p.coeffs)})
-
-    @classmethod
-    def from_y_poly(cls, p: XPoly) -> "XYPoly":
-        return cls({(0, i): c for i, c in enumerate(p.coeffs)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = XYPoly.const(other)
-        if not isinstance(other, XYPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return XYPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return XYPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = XYPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            o = as_fraction(other)
-            return XYPoly({k: c * o for k, c in self.terms.items()})
-        if not isinstance(other, XYPoly):
-            return NotImplemented
-        out: dict = {}
-        for (i, j), a in self.terms.items():
-            for (k, l), b in other.terms.items():
-                key = (i + k, j + l)
-                out[key] = out.get(key, Fraction(0)) + a * b
-        return XYPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = XYPoly.const(other)
-        if not isinstance(other, XYPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        def mono(i, j):
-            s = []
-            if i:
-                s.append("x" if i == 1 else f"x^{i}")
-            if j:
-                s.append("y" if j == 1 else f"y^{j}")
-            return "*".join(s)
-        parts = []
-        for (i, j) in sorted(self.terms):
-            c = self.terms[(i, j)]
-            m = mono(i, j)
-            parts.append(f"{c}*{m}" if m else str(c))
         return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -341,7 +228,7 @@ class TSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs: Sequence, order: int | None = None):
-        cs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
+        cs = [as_fraction(c) if isinstance(c, int) else c for c in coeffs]
         if order is None:
             order = len(cs) - 1
         if order < 0:
@@ -403,7 +290,12 @@ class TSeries:
     def __rmul__(self, other):
         return TSeries([other * c for c in self.coeffs], self.order)
 
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = TSeries([other], self.order)
         if not isinstance(other, TSeries):
             return NotImplemented
         if self.order != other.order:

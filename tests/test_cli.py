@@ -482,7 +482,7 @@ PUBLIC_NAMES = [
     "ChaosVector", "Config", "ConfigError", "DomainError", "K_bell",
     "K_epsilon", "K_from_P", "K_series", "K_stirling", "MeasureModel",
     "NonInvertibleSeries", "P_bell", "P_from_K", "P_from_K_stirling2", "P_series",
-    "Params", "PolyFamily", "TSeries", "XPoly", "XYPoly", "addition_P3", "addition_P4",
+    "Params", "PolyFamily", "TSeries", "XPoly", "addition_P3", "addition_P4",
     "bell_partial", "bracket_y", "c_coeffs", "chaos_to_poly", "classical_K",
     "classical_pmf", "combinat", "config", "deg_exp",
     "deg_exp_series", "deg_falling", "epsilon", "epsilon_closed", "eta",

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import ALL_SETS
 from degenkraw.combinat import epsilon, eta, stirling1, theta_triangle
 from degenkraw.measure import Params, exact_moments
 from degenkraw.polys import (
@@ -19,6 +20,8 @@ from degenkraw.polys import (
     P_from_K,
     P_from_K_stirling2,
     P_series,
+    _in_y,
+    _shifted,
     addition_P3,
     addition_P4,
     c_coeffs,
@@ -31,7 +34,7 @@ from degenkraw.polys import (
     xi_derivs,
     xi_series,
 )
-from degenkraw.series import TSeries, XPoly, XYPoly
+from degenkraw.series import TSeries, XPoly
 
 
 class TestCoefficientData:
@@ -266,17 +269,52 @@ class TestAdditionIdentities:
     def test_p3_literal_nonzero(self, params):
         res = addition_P3(1, params, "literal")
         assert not res.is_zero()
-        # residual is p(y - x) at n=1
-        assert res.terms == {(0, 1): params.p, (1, 0): -params.p}
+        # residual is p(y - x) at n=1: -p*x times y^0, p times y^1
+        assert res == TSeries([XPoly((0, -params.p)), XPoly((params.p,))], 1)
+
+    @pytest.mark.parametrize(
+        "name, n, text",
+        [
+            ("A", 1, "3/5*y - 3/5*x"),
+            ("A", 2, "-93/25*y + 9/25*y^2 + 93/25*x + 18/25*x*y - 27/25*x^2"),
+            ("A", 3, "2178/125*y - 513/125*y^2 + 27/125*y^3 - 2178/125*x - 1026/125*x*y"
+                     " + 81/125*x*y^2 + 1539/125*x^2 + 81/125*x^2*y - 189/125*x^3"),
+            ("B", 2, "-1*y + 1/4*y^2 + 1*x + 1/2*x*y - 3/4*x^2"),
+            ("B", 3, "77/32*y - 21/16*y^2 + 1/8*y^3 - 77/32*x - 21/8*x*y + 3/8*x*y^2"
+                     " + 63/16*x^2 + 3/8*x^2*y - 7/8*x^3"),
+            ("C", 2, "-203/50*y + 49/100*y^2 + 203/50*x + 49/50*x*y - 147/100*x^2"),
+            ("C", 3, "308021/16000*y - 10437/2000*y^2 + 343/1000*y^3 - 308021/16000*x"
+                     " - 10437/1000*x*y + 1029/1000*x*y^2 + 31311/2000*x^2"
+                     " + 1029/1000*x^2*y - 2401/1000*x^3"),
+        ],
+    )
+    def test_p3_literal_residual_text(self, name, n, text):
+        # the audit prints the literal residual as its terms c*x^i*y^j in
+        # (i, j) order; these are the strings of the bivariate class it replaced
+        from degenkraw.audit import _xy_terms
+
+        assert _xy_terms(addition_P3(n, ALL_SETS[name], "literal")) == text
+
+    def test_lift_into_y_never_truncates(self):
+        # a series in y of order n holds degree n at most: a higher degree
+        # raises instead of dropping the terms past y^n
+        cubic = XPoly((1, 2, 3, 4))
+        assert _in_y(cubic.coeffs, 3) == TSeries([1, 2, 3, 4], 3)
+        assert _shifted(cubic, 3).coeffs[3] == 4
+        with pytest.raises(ValueError):
+            _in_y(cubic.coeffs, 2)
+        with pytest.raises(ValueError):
+            _shifted(cubic, 2)
 
     def test_p4_zero(self, params):
         for n in range(11):
             assert addition_P4(n, params).is_zero()
 
     def test_identity_sides_read_no_binomial_sum(self, monkeypatch):
-        # the canonical families and substitution, one side of every
-        # addition, translation and monomial check, never call the binomial
-        # kernel: with it disabled they still build, and the kernel's side fails
+        # the canonical families and the Taylor shift K_n(x+y), one side of
+        # every addition, translation and monomial check, never call the
+        # binomial kernel: with it disabled they still build, and the
+        # kernel's side fails
         import degenkraw.combinat as cb
         import degenkraw.operators as ops
         import degenkraw.polys as polys
@@ -289,7 +327,7 @@ class TestAdditionIdentities:
         params = Params.make("-5/3", "4/7", "5/9", "7/4")
         k = K_series.__wrapped__(params, 6)
         P_series.__wrapped__(params, 6)
-        k[6](XYPoly.x() + XYPoly.y())
+        _shifted(k[6], 6)
         with pytest.raises(AssertionError):
             addition_P4(6, params)
 

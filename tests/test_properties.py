@@ -23,6 +23,7 @@ from degenkraw.polys import (
     P_ROUTES,
     K_series,
     P_series,
+    _shifted,
     addition_P3,
     addition_P4,
     family,
@@ -71,6 +72,16 @@ def test_identity_residuals_vanish(params, n, y):
     assert addition_P4(n, params).is_zero()
     assert all(res.is_zero() for res in translation_series_residuals(params, y, n))
     assert monomial_from_K(n, params) == XPoly([0] * n + [1])
+
+
+@PROPERTY
+@given(_points(), st.integers(0, 5), st.builds(F, st.integers(-6, 6), st.integers(1, 4)))
+def test_taylor_shift_is_substitution(params, n, y0):
+    # the left side K_n(x+y) of both addition identities, a series in y by
+    # Taylor's formula, summed at y = y0 is K_n(x + y0) by Horner's rule
+    member = K_series(params, n)[n]
+    shifted = _shifted(member, n)
+    assert sum(c * y0**j for j, c in enumerate(shifted.coeffs)) == member(XPoly((y0, 1)))
 
 
 @PROPERTY

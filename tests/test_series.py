@@ -13,7 +13,6 @@ from degenkraw.series import (
     NonInvertibleSeries,
     TSeries,
     XPoly,
-    XYPoly,
     gen_binomial,
     log1p_scaled_series,
 )
@@ -39,6 +38,8 @@ class TestXPoly:
         assert XPoly((0,)).is_zero()
         with pytest.raises(TypeError):
             XPoly((True, False, True))  # a bool is not a rational, not 1 + x^2
+        with pytest.raises(TypeError):
+            TSeries([True, False, True], 2)  # nor 1 + t^2
 
     def test_ring_ops(self):
         x = XPoly.x()
@@ -65,8 +66,8 @@ class TestXPoly:
         # the value lies in the argument's ring
         assert (XPoly.x() ** 2)(XPoly((1, 1))) == XPoly((1, 2, 1))
         for c in (XPoly(), XPoly.const(F(3, 2))):
-            got = c(XYPoly.x() + XYPoly.y())
-            assert isinstance(got, XYPoly) and got == XYPoly.const(c.coeff(0))
+            got = c(XPoly((1, 1)))
+            assert isinstance(got, XPoly) and got == XPoly.const(c.coeff(0))
 
     def test_gen_binomial(self):
         x = XPoly.x()
@@ -80,17 +81,6 @@ class TestXPoly:
         q = F(2, 5)
         for n in range(8):
             assert gen_binomial(F(-1), n) * (-q) ** n == q**n
-
-
-class TestXYPoly:
-    def test_embed_and_multiply(self):
-        p = XPoly((1, 2))  # 1 + 2x
-        xy = XYPoly.from_x_poly(p) * XYPoly.from_y_poly(p)
-        assert xy.terms == {(0, 0): 1, (1, 0): 2, (0, 1): 2, (1, 1): 4}
-
-    def test_binomial_expansion(self):
-        both = (XYPoly.x() + XYPoly.y()) * (XYPoly.x() + XYPoly.y())
-        assert both == XYPoly({(2, 0): 1, (1, 1): 2, (0, 2): 1})
 
 
 class TestSeriesArithmetic:
@@ -110,6 +100,13 @@ class TestSeriesArithmetic:
         sq = e * e
         for k in range(6):
             assert sq.coeff(k) == F(2**k, math.factorial(k))
+
+    def test_scalar_equality_and_zero(self):
+        # a scalar is the constant series, as for XPoly; over XPoly too
+        assert TSeries([F(3, 2)], 3) == F(3, 2) and TSeries([2, 1], 3) != 2
+        zero = TSeries([XPoly(), XPoly()], 1)
+        assert zero == 0 and zero.is_zero()
+        assert not TSeries([0, XPoly.x()], 1).is_zero()
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
