@@ -101,7 +101,7 @@ class XPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return XPoly(c * other for c in self.coeffs)
+            return XPoly(c * other for c in self.coeffs) if other else XPoly()
         if not isinstance(other, XPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():

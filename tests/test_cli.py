@@ -368,7 +368,8 @@ class TestAuditCommand:
 
 def _stub_check(formula_id, required, status):
     variant = "canonical" if required else "literal"
-    return Check(formula_id, "", variant, required, lambda ctx: (status, "0", ""))
+    gap = None if status == "exact-match" else (0,)
+    return Check(formula_id, "", variant, required, lambda ctx: (gap, ""), "{0}")
 
 
 class TestAuditEntries:
