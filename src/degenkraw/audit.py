@@ -313,7 +313,7 @@ def _example_member(n: int, printed):
 
 
 def _coefficient_recurrence(c: RunContext):
-    recip = deg_exp_xi_series(c.params, c.n_max + 2).reciprocal()
+    recip = deg_exp_xi_series(c.params, c.n_max).reciprocal()
     series_c = [
         math.factorial(n) * c.params.r**-n * recip.coeff(n) for n in range(c.n_max + 1)
     ]

@@ -217,7 +217,6 @@ def deg_falling(beta, k: int, lam) -> Fraction:
 # generating series for the coefficient families
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=_TABLES)
 def theta_series(q: Fraction, order: int) -> TSeries:
     """Taylor series of log((1+z)/(1+qz))."""
     return log1p_scaled_series(1, order) - log1p_scaled_series(q, order)

@@ -128,12 +128,15 @@ _INT_KEYS = ("n_max", "series_order", "precision_digits", "seed")  # named as Co
 
 @dataclass(frozen=True)
 class Config:
+    """A run's settings; ``config_from_dict`` fills every field, its defaults
+    from ``_DEFAULTS``."""
+
     params: Params
-    n_max: int = 10
-    series_order: int | None = None  # None: max(16, n_max + 2)
-    precision_digits: int = 60
-    seed: int = 42
-    output_format: str = "json"
+    n_max: int
+    series_order: int | None  # None: max(16, n_max + 2)
+    precision_digits: int
+    seed: int
+    output_format: str
 
     def __post_init__(self):
         if self.series_order is None:
@@ -148,17 +151,9 @@ class Config:
             raise ConfigError("n_max and seed must be nonnegative")
 
     def as_dict(self) -> dict:
-        return {
-            "lambda": str(self.params.lam),
-            "beta": str(self.params.beta),
-            "p": str(self.params.p),
-            "r": str(self.params.r),
-            "n_max": self.n_max,
-            "series_order": self.series_order,
-            "precision_digits": self.precision_digits,
-            "seed": self.seed,
-            "output_format": self.output_format,
-        }
+        p = self.params
+        fields = {key: getattr(self, key) for key in (*_INT_KEYS, "output_format")}
+        return {"lambda": str(p.lam), "beta": str(p.beta), "p": str(p.p), "r": str(p.r), **fields}
 
 
 def _parse_fraction(raw, key: str) -> Fraction:
@@ -193,6 +188,7 @@ def config_from_dict(data: dict) -> Config:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     ints = {key: _parse_int(merged[key], key) for key in _INT_KEYS if key in merged}
+    ints.setdefault("series_order", None)
     return Config(params=params, output_format=str(merged["output_format"]), **ints)
 
 

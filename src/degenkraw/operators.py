@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import binomial_sum, bracket_y, deg_falling, epsilon, rho_scaling
+from .combinat import binomial_sum, bracket_y, deg_falling, rho_scaling
 from .config import Params
 from .polys import K_series, P_series
 from .series import XPoly, as_fraction
@@ -83,26 +83,26 @@ def scale_substitution(v: ChaosVector, z, params: Params) -> ChaosVector:
 
 
 def scaled_member(n: int, z, params: Params, variant: str = "corrected") -> XPoly:
-    """K_n(z*x) via the epsilon/rho expansion:
-
-    n! sum_k epsilon_{n-k}(z x) sum_m rho(m,k) (-beta)_{m,lam} / (m! k!).
+    """K_n(z*x) via the epsilon/rho expansion
+    n! sum_k epsilon_{n-k}(z x) sum_m rho(m,k) (-beta)_{m,lam} / (m! k!),
+    the binomial convolution sum_k binom(n,k) [z x]_{n-k} W_k with
+    W_k = sum_m rho(m,k) (-beta)_{m,lam} / m!.
 
     With the corrected rho weights this reproduces K_n with x scaled; the
     literal weights are evaluated for the audit.
     """
     z = as_fraction(z)
     q, r = params.q, params.r
-    acc = XPoly()
-    for k in range(n + 1):
-        inner = Fraction(0)
-        for m in range(k + 1):
-            inner += (
-                rho_scaling(m, k, q, r, variant)
-                * deg_falling(-params.beta, m, params.lam)
-                / (math.factorial(m) * math.factorial(k))
-            )
-        acc = acc + inner * epsilon(n - k, q).scale_arg(z)
-    return math.factorial(n) * acc
+    weights = [
+        sum(
+            rho_scaling(m, k, q, r, variant)
+            * deg_falling(-params.beta, m, params.lam)
+            / math.factorial(m)
+            for m in range(k + 1)
+        )
+        for k in range(n + 1)
+    ]
+    return binomial_sum(n, lambda j: bracket_y(j, q).scale_arg(z), weights.__getitem__)
 
 
 def scale_expansion(v: ChaosVector, z, params: Params, variant: str = "corrected") -> ChaosVector:

@@ -14,9 +14,11 @@ test_polys).  Every other construction here (coefficient recurrence,
 basis changes through the Riordan tables, the double Stirling sum,
 partial Bell polynomial formulas) is an independent route to the same
 members, and the tests hold all routes to exact rational equality.  A basis
-change is a triangular sum sum_{k<=n} w(n,k) b_k (``_triangular_sums``); a
-Bell route, addition identity or monomial expansion is a binomial
-convolution sum_k binom(n,k) a_{n-k} b_k (``combinat.binomial_sum``).
+change is a triangular sum sum_{k<=n} w(n,k) b_k (``_triangular_sums``); the
+epsilon and Bell routes, the addition identities and the monomial expansion
+are binomial convolutions sum_k binom(n,k) a_{n-k} b_k (``combinat.binomial_sum``).
+Member n reads series terms and arguments through index n only, so every
+route builds to order n_max.
 Routes suffixed "literal" evaluate alternate printed forms whose residuals
 the audit reports; they are not expected to match.
 """
@@ -33,13 +35,12 @@ from .combinat import (
     binomial_sum,
     bracket_y,
     deg_falling,
-    epsilon,
     faa_derivative,
     stirling1,
     stirling2,
     theta_series,
-    varpi,
-    varrho,
+    theta_triangle,
+    zeta_triangle,
 )
 from .config import Params, deg_exp_series, exact_moments, laplace_series
 from .series import TSeries, XPoly, as_fraction, log1p_scaled_series
@@ -130,7 +131,7 @@ def c_coeffs(n_max: int, params: Params) -> list[Fraction]:
 
 def _triangular_sums(weight, basis) -> tuple[XPoly, ...]:
     """members[n] = sum_{k<=n} weight(n, k) * basis[k] for each n < len(basis):
-    the assembly of every route whose weights are not binomial."""
+    the assembly of the basis changes, whose weights are not binomial."""
     members = []
     for n in range(len(basis)):
         acc = XPoly()
@@ -153,42 +154,39 @@ def _bell_sums(args, basis) -> tuple[XPoly, ...]:
 # the K family, five ways
 # ---------------------------------------------------------------------------
 
-# Every route below keeps its families of the last _TABLES argument tuples
-# (parameter point, n_max, ...), as combinat keeps its tables.
+# Only the canonical series routes keep their families (the last _TABLES
+# (parameter point, n_max) pairs), because the other routes, the identities
+# and the operators read them again; every other route builds afresh.
 
 @lru_cache(maxsize=_TABLES)
 def K_series(params: Params, n_max: int) -> PolyFamily:
     """Canonical route: n! times the t^n coefficient of the generating series,
-    exp(x theta(t)) over its denominator, truncated at order n_max + 2
-    (members through n_max do not depend on it)."""
-    order = n_max + 2
-    omega_x = (theta_series(params.q, order) * XPoly.x()).exp()  # ((1+t)/(1+qt))^x
-    psi = omega_x * deg_exp_xi_series(params, order).reciprocal()
-    return PolyFamily(params, n_max, tuple(psi.derivative_list()[: n_max + 1]), "series")
+    exp(x theta(t)) over its denominator, truncated at order n_max."""
+    omega_x = (theta_series(params.q, n_max) * XPoly.x()).exp()  # ((1+t)/(1+qt))^x
+    psi = omega_x * deg_exp_xi_series(params, n_max).reciprocal()
+    return PolyFamily(params, n_max, tuple(psi.derivative_list()), "series")
 
 
-@lru_cache(maxsize=_TABLES)
 def K_epsilon(params: Params, n_max: int) -> PolyFamily:
-    """Assembly from the coefficient recurrence:
-    K_n = sum_k n!/(n-k)! r^(n-k) c_{n-k} epsilon_k(x)."""
-    c, r = c_coeffs(n_max, params), params.r
-    members = _triangular_sums(
-        lambda n, k: Fraction(math.factorial(n), math.factorial(n - k)) * r ** (n - k) * c[n - k],
-        [epsilon(k, params.q) for k in range(n_max + 1)],
+    """Assembly from the coefficient recurrence, a binomial convolution over
+    the bracket factorials [x]_k = k! epsilon_k(x):
+    K_n = sum_k binom(n,k) r^(n-k) c_{n-k} [x]_k."""
+    consts = [params.r**j * c for j, c in enumerate(c_coeffs(n_max, params))]
+    brackets = [bracket_y(k, params.q) for k in range(n_max + 1)]
+    members = tuple(
+        binomial_sum(n, consts.__getitem__, brackets.__getitem__) for n in range(n_max + 1)
     )
     return PolyFamily(params, n_max, members, "epsilon")
 
 
-@lru_cache(maxsize=_TABLES)
 def K_from_P(params: Params, n_max: int) -> PolyFamily:
-    """Basis change from the Appell companions: K_n = sum_m varpi(m,n)/m! P_m."""
-    members = _triangular_sums(
-        lambda n, m: varpi(m, n, params.q) / math.factorial(m), P_series(params, n_max).members
-    )
+    """Basis change from the Appell companions: K_n = sum_m T(n,m) P_m, with
+    T(n,m) = n! [z^n] theta^m / m! = varpi(m,n)/m! read from ``theta_triangle``."""
+    rows = theta_triangle(params.q)
+    members = _triangular_sums(lambda n, m: rows[n][m], P_series(params, n_max).members)
     return PolyFamily(params, n_max, members, "from-p")
 
 
-@lru_cache(maxsize=_TABLES)
 def K_bell(params: Params, n_max: int, variant: str = "corrected") -> PolyFamily:
     """Partial-Bell-polynomial route through the values at 0 and the
     bracket factorials: K_n = sum_k binom(n,k) A_{n-k} [x]_k with
@@ -202,9 +200,9 @@ def K_bell(params: Params, n_max: int, variant: str = "corrected") -> PolyFamily
     if variant not in ("corrected", "literal"):
         raise ValueError(f"unknown K_bell variant {variant!r}")
     if variant == "corrected":
-        args = mu_coeffs(n_max + 1, params)
+        args = mu_coeffs(n_max, params)
     else:
-        args = exact_moments(params, n_max + 1)
+        args = exact_moments(params, n_max)
     members = _bell_sums(args, [bracket_y(k, params.q) for k in range(n_max + 1)])
     return PolyFamily(params, n_max, members, f"bell-{variant}")
 
@@ -232,7 +230,6 @@ def stirling_transition(n: int, k: int, q, upper: str = "plus") -> Fraction:
     return Fraction(sum(c * num**e * den ** (n - e) for e, c in enumerate(by_power)), den**n)
 
 
-@lru_cache(maxsize=_TABLES)
 def K_stirling(params: Params, n_max: int, variant: str = "oracle") -> PolyFamily:
     """Expansion of K_n over the companions with the double Stirling sum as
     weights: K_n = sum_k stirling_transition(n, k) P_k.
@@ -250,18 +247,16 @@ def K_stirling(params: Params, n_max: int, variant: str = "oracle") -> PolyFamil
     return PolyFamily(params, n_max, members, f"stirling-{variant}")
 
 
-@lru_cache(maxsize=_TABLES)
 def classical_K(p, r, n_max: int) -> PolyFamily:
     """Classical Krawtchouk family: n! [t^n] (1+t)^x (1+qt)^(-x-r); exact for rational r."""
     from .series import gen_binomial
 
     p, r = as_fraction(p), as_fraction(r)
     q = 1 - p
-    order = n_max + 2
     x = XPoly.x()
-    a = TSeries([gen_binomial(x, n) for n in range(order + 1)], order)
-    b = TSeries([gen_binomial(-x - r, n) * q**n for n in range(order + 1)], order)
-    return PolyFamily(None, n_max, tuple((a * b).derivative_list()[: n_max + 1]), "classical")
+    a = TSeries([gen_binomial(x, n) for n in range(n_max + 1)], n_max)
+    b = TSeries([gen_binomial(-x - r, n) * q**n for n in range(n_max + 1)], n_max)
+    return PolyFamily(None, n_max, tuple((a * b).derivative_list()), "classical")
 
 
 # ---------------------------------------------------------------------------
@@ -271,33 +266,29 @@ def classical_K(p, r, n_max: int) -> PolyFamily:
 @lru_cache(maxsize=_TABLES)
 def P_series(params: Params, n_max: int) -> PolyFamily:
     """Canonical route: n! [z^n] of e^(xz) times the reciprocal Laplace series,
-    truncated at order n_max + 2."""
-    order = n_max + 2
+    truncated at order n_max."""
     x = XPoly.x()
-    exz = TSeries([x**n / math.factorial(n) for n in range(order + 1)], order)
-    series = exz * laplace_series(params, order).reciprocal()
-    return PolyFamily(params, n_max, tuple(series.derivative_list()[: n_max + 1]), "p-series")
+    exz = TSeries([x**n / math.factorial(n) for n in range(n_max + 1)], n_max)
+    series = exz * laplace_series(params, n_max).reciprocal()
+    return PolyFamily(params, n_max, tuple(series.derivative_list()), "p-series")
 
 
-@lru_cache(maxsize=_TABLES)
 def P_bell(params: Params, n_max: int) -> PolyFamily:
     """Bell-polynomial route: P_n = sum_k binom(n,k) [sum_i (-1)^i i! B_{n-k,i}(M)] x^k,
     with M the exact moment vector."""
     x = XPoly.x()
-    members = _bell_sums(exact_moments(params, n_max + 1), [x**k for k in range(n_max + 1)])
+    members = _bell_sums(exact_moments(params, n_max), [x**k for k in range(n_max + 1)])
     return PolyFamily(params, n_max, members, "p-bell")
 
 
-@lru_cache(maxsize=_TABLES)
 def P_from_K(params: Params, n_max: int) -> PolyFamily:
-    """Inverse basis change: P_n = sum_m varrho(m,n)/m! K_m."""
-    members = _triangular_sums(
-        lambda n, m: varrho(m, n, params.q) / math.factorial(m), K_series(params, n_max).members
-    )
+    """Inverse basis change: P_n = sum_m Z(n,m) K_m, with
+    Z(n,m) = n! [z^n] zeta^m / m! = varrho(m,n)/m! read from ``zeta_triangle``."""
+    rows = zeta_triangle(params.q)
+    members = _triangular_sums(lambda n, m: rows[n][m], K_series(params, n_max).members)
     return PolyFamily(params, n_max, members, "p-from-k")
 
 
-@lru_cache(maxsize=_TABLES)
 def P_from_K_stirling2(params: Params, n_max: int) -> PolyFamily:
     """Second-kind-Stirling route:
     P_n = sum_{k>=1} [sum_{j=k}^{n} binom(j-1,k-1) q^(j-k)/p^j j! S(n,j)] K_k / k!
@@ -324,7 +315,7 @@ def P_from_K_stirling2(params: Params, n_max: int) -> PolyFamily:
 def monomial_from_K(n: int, params: Params) -> XPoly:
     """x^n rebuilt from the K family through the companion basis:
     sum_k binom(n,k) M(n-k) P_k(x), with M the moments and
-    P_k = sum_m varrho(m,k)/m! K_m the members of ``P_from_K``."""
+    P_k = sum_m Z(k,m) K_m the members of ``P_from_K``."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
     companions = P_from_K(params, n).members

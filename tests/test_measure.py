@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from mpmath import mp
 from mpmath import mpmathify as to_mpf
+from mpmath.ctx_iv import MPIntervalContext
 
 from degenkraw import measure
 from degenkraw.combinat import bell_partial, deg_falling, stirling1_unsigned
@@ -259,6 +260,28 @@ class TestCanonicalPmf:
         assert calls == []
         model.mixture_pmfs([1])
         assert calls
+
+    def test_zero_mass_against_its_enclosure(self):
+        # pmf(0) = a^(beta/lam), enclosed at 100 digits: pmf(0) is good to
+        # its 60 digits on both sets, and so is set A's n = 0 quadrature,
+        # but set B's never converges (shape -beta/lam = 1/2, a density
+        # ~ s^(-1/2)) and stays about 1e-40 off.  Recorded, not fixed: a fix
+        # changes the audit's printed residuals.
+        iv = MPIntervalContext()  # a private context: mpmath.iv keeps its precision
+        iv.dps = 100
+        gaps = {}
+        for name in ("A", "B"):
+            p = ALL_SETS[name]
+            lam, beta, prob, r = (iv.mpf(str(v)) for v in (p.lam, p.beta, p.p, p.r))
+            enclosure = (1 + lam * r * iv.log(prob)) ** (beta / lam)
+            model = MeasureModel(p, 60)
+            with mp.workdps(100):
+                lo, hi = mp.mpf(enclosure.a), mp.mpf(enclosure.b)
+                for kind, value in (("pmf", model.pmf(0)), ("mix", model.mixture_pmfs([0])[0])):
+                    gaps[name, kind] = max(lo - value, value - hi, 0)
+        assert mpf10(-42) <= gaps["B", "mix"] <= mpf10(-38)
+        for key in (("A", "mix"), ("A", "pmf"), ("B", "pmf")):
+            assert gaps[key] < mpf10(-70), key
 
 
 class TestModelConstants:

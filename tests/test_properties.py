@@ -1,5 +1,6 @@
 """Property tests over the valid parameter space, beyond the sets A, B and C:
-every canonical route builds the canonical members, and the addition,
+every canonical route builds the canonical members, the series routes'
+members do not depend on the truncation order, and the addition,
 translation, monomial and lowering identities hold exactly, at random
 rational points with small denominators.  ``polys`` exits 0 on a valid
 point and 2, with one line of error and no traceback, on a point with one
@@ -63,6 +64,16 @@ def test_canonical_routes_build_the_series_members(params, n_max):
         assert family(params, n_max, route).members == k, route
     for route in P_ROUTES:
         assert family(params, n_max, route).members == p, route
+
+
+@PROPERTY
+@given(_points(), st.integers(0, 5))
+def test_series_members_do_not_depend_on_n_max(params, n_max):
+    # member n reads the series through order n only, so the family
+    # truncated at n_max is the head of the one truncated at n_max + 3
+    for route in ("series", "p-series", "classical"):
+        head = family(params, n_max + 3, route).members[: n_max + 1]
+        assert family(params, n_max, route).members == head, route
 
 
 @PROPERTY
