@@ -195,7 +195,7 @@ def _gap(a, b):
 
 def _family_gap(a: PolyFamily, b: PolyFamily):
     """(n, a_n - b_n) at the first member where two families differ, or None."""
-    return _first_gap(range(a.n_max + 1), a.__getitem__, b.__getitem__)
+    return _first_gap(range(len(a.members)), a.__getitem__, b.__getitem__)
 
 
 # -- exact families and identities -------------------------------------------
@@ -221,20 +221,20 @@ def _companion_route(route: str):
     return run
 
 
+def _first_nonzero(residuals: list):
+    """(n, residuals[n]) at the first nonzero residual, or None."""
+    return _first_gap(range(len(residuals)), residuals.__getitem__, lambda n: 0)
+
+
 def _p2_monomial(c: RunContext):
-    gap = _first_gap(
-        range(c.n_max + 1),
-        lambda n: monomial_from_K(n, c.params),
-        lambda n: XPoly([0] * n + [1]),
-    )
+    monomials = monomial_from_K(c.params, c.n_max)
+    gap = _first_gap(range(c.n_max + 1), monomials.__getitem__, lambda n: XPoly([0] * n + [1]))
     return gap, ""
 
 
 def _p3_gap(c: RunContext, variant: str):
     """First nonzero three-fold addition residual for n <= min(8, n_max)."""
-    return _first_gap(
-        range(min(8, c.n_max) + 1), lambda n: addition_P3(n, c.params, variant), lambda n: 0
-    )
+    return _first_nonzero(addition_P3(c.params, min(8, c.n_max), variant))
 
 
 def _p3_addition(c: RunContext):
@@ -259,13 +259,13 @@ def _xy_terms(residual) -> str:
 
 
 def _p3_addition_literal(c: RunContext):
-    gap = _first_gap((1,), lambda n: addition_P3(n, c.params, "literal"), lambda n: 0)
+    gap = _first_nonzero(addition_P3(c.params, 1, "literal"))
     notes = "expected divergence of the literal reading; recorded"
     return gap and (gap[0], _xy_terms(gap[1])), notes
 
 
 def _p4_addition(c: RunContext):
-    return _first_gap(range(c.n_max + 1), lambda n: addition_P4(n, c.params), lambda n: 0), ""
+    return _first_nonzero(addition_P4(c.params, c.n_max)), ""
 
 
 def _epsilon_closed(variant: str, notes: str):

@@ -341,7 +341,7 @@ def theta_triangle(q: Fraction) -> GrowingTable:
 def zeta_triangle(q: Fraction) -> GrowingTable:
     """Exponential Riordan array [1, zeta]: row n holds n! [z^n] zeta^k / k!
     = B_{n,k}(kappa_1, kappa_2, ...) for k = 0..n."""
-    return riordan_triangle(_kappa_table(q).__getitem__)
+    return riordan_triangle(lambda j: kappa(j, q))
 
 
 def varpi(m: int, n: int, q) -> Fraction:

@@ -61,14 +61,10 @@ P_ROUTES = ("p-series", "p-bell", "p-from-k", "p-stirling2")
 class PolyFamily:
     """A finite Appell-style family: members[n] has degree n, members[0] == 1."""
 
-    params: Params | None
-    n_max: int
     members: tuple[XPoly, ...]
     route: str
 
     def __post_init__(self):
-        if len(self.members) != self.n_max + 1:
-            raise ValueError("family must provide members 0..n_max")
         if not self.route.endswith("literal"):
             if self.members[0] != 1:
                 raise ValueError(f"route {self.route}: member 0 must be 1")
@@ -164,7 +160,7 @@ def K_series(params: Params, n_max: int) -> PolyFamily:
     exp(x theta(t)) over its denominator, truncated at order n_max."""
     omega_x = (theta_series(params.q, n_max) * XPoly.x()).exp()  # ((1+t)/(1+qt))^x
     psi = omega_x * deg_exp_xi_series(params, n_max).reciprocal()
-    return PolyFamily(params, n_max, tuple(psi.derivative_list()), "series")
+    return PolyFamily(tuple(psi.derivative_list()), "series")
 
 
 def K_epsilon(params: Params, n_max: int) -> PolyFamily:
@@ -176,7 +172,7 @@ def K_epsilon(params: Params, n_max: int) -> PolyFamily:
     members = tuple(
         binomial_sum(n, consts.__getitem__, brackets.__getitem__) for n in range(n_max + 1)
     )
-    return PolyFamily(params, n_max, members, "epsilon")
+    return PolyFamily(members, "epsilon")
 
 
 def K_from_P(params: Params, n_max: int) -> PolyFamily:
@@ -184,7 +180,7 @@ def K_from_P(params: Params, n_max: int) -> PolyFamily:
     T(n,m) = n! [z^n] theta^m / m! = varpi(m,n)/m! read from ``theta_triangle``."""
     rows = theta_triangle(params.q)
     members = _triangular_sums(lambda n, m: rows[n][m], P_series(params, n_max).members)
-    return PolyFamily(params, n_max, members, "from-p")
+    return PolyFamily(members, "from-p")
 
 
 def K_bell(params: Params, n_max: int, variant: str = "corrected") -> PolyFamily:
@@ -204,7 +200,7 @@ def K_bell(params: Params, n_max: int, variant: str = "corrected") -> PolyFamily
     else:
         args = exact_moments(params, n_max)
     members = _bell_sums(args, [bracket_y(k, params.q) for k in range(n_max + 1)])
-    return PolyFamily(params, n_max, members, f"bell-{variant}")
+    return PolyFamily(members, f"bell-{variant}")
 
 
 def stirling_transition(n: int, k: int, q, upper: str = "plus") -> Fraction:
@@ -244,7 +240,7 @@ def K_stirling(params: Params, n_max: int, variant: str = "oracle") -> PolyFamil
     members = _triangular_sums(
         lambda n, k: stirling_transition(n, k, params.q, upper), P_series(params, n_max).members
     )
-    return PolyFamily(params, n_max, members, f"stirling-{variant}")
+    return PolyFamily(members, f"stirling-{variant}")
 
 
 def classical_K(p, r, n_max: int) -> PolyFamily:
@@ -256,7 +252,7 @@ def classical_K(p, r, n_max: int) -> PolyFamily:
     x = XPoly.x()
     a = TSeries([gen_binomial(x, n) for n in range(n_max + 1)], n_max)
     b = TSeries([gen_binomial(-x - r, n) * q**n for n in range(n_max + 1)], n_max)
-    return PolyFamily(None, n_max, tuple((a * b).derivative_list()), "classical")
+    return PolyFamily(tuple((a * b).derivative_list()), "classical")
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +266,7 @@ def P_series(params: Params, n_max: int) -> PolyFamily:
     x = XPoly.x()
     exz = TSeries([x**n / math.factorial(n) for n in range(n_max + 1)], n_max)
     series = exz * laplace_series(params, n_max).reciprocal()
-    return PolyFamily(params, n_max, tuple(series.derivative_list()), "p-series")
+    return PolyFamily(tuple(series.derivative_list()), "p-series")
 
 
 def P_bell(params: Params, n_max: int) -> PolyFamily:
@@ -278,7 +274,7 @@ def P_bell(params: Params, n_max: int) -> PolyFamily:
     with M the exact moment vector."""
     x = XPoly.x()
     members = _bell_sums(exact_moments(params, n_max), [x**k for k in range(n_max + 1)])
-    return PolyFamily(params, n_max, members, "p-bell")
+    return PolyFamily(members, "p-bell")
 
 
 def P_from_K(params: Params, n_max: int) -> PolyFamily:
@@ -286,7 +282,7 @@ def P_from_K(params: Params, n_max: int) -> PolyFamily:
     Z(n,m) = n! [z^n] zeta^m / m! = varrho(m,n)/m! read from ``zeta_triangle``."""
     rows = zeta_triangle(params.q)
     members = _triangular_sums(lambda n, m: rows[n][m], K_series(params, n_max).members)
-    return PolyFamily(params, n_max, members, "p-from-k")
+    return PolyFamily(members, "p-from-k")
 
 
 def P_from_K_stirling2(params: Params, n_max: int) -> PolyFamily:
@@ -305,21 +301,20 @@ def P_from_K_stirling2(params: Params, n_max: int) -> PolyFamily:
         return w / math.factorial(k)
 
     members = _triangular_sums(weight, K_series(params, n_max).members)
-    return PolyFamily(params, n_max, members, "p-stirling2")
+    return PolyFamily(members, "p-stirling2")
 
 
 # ---------------------------------------------------------------------------
 # monomial expansion and addition identities
 # ---------------------------------------------------------------------------
 
-def monomial_from_K(n: int, params: Params) -> XPoly:
-    """x^n rebuilt from the K family through the companion basis:
-    sum_k binom(n,k) M(n-k) P_k(x), with M the moments and
+def monomial_from_K(params: Params, n_max: int) -> list[XPoly]:
+    """x^n for n = 0..n_max rebuilt from the K family through the companion
+    basis: sum_k binom(n,k) M(n-k) P_k(x), with M the moments and
     P_k = sum_m Z(k,m) K_m the members of ``P_from_K``."""
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    companions = P_from_K(params, n).members
-    return binomial_sum(n, exact_moments(params, n).__getitem__, companions.__getitem__)
+    companions = P_from_K(params, n_max).members
+    moments = exact_moments(params, n_max)
+    return [binomial_sum(n, moments.__getitem__, companions.__getitem__) for n in range(n_max + 1)]
 
 
 def _in_y(coeffs, n: int) -> TSeries:
@@ -339,39 +334,44 @@ def _shifted(m: XPoly, n: int) -> TSeries:
     return _in_y([d / math.factorial(j) for j, d in enumerate(derivatives)], n)
 
 
-def addition_P3(n: int, params: Params, variant: str = "corrected") -> TSeries:
-    """Residual of the three-fold addition identity
+def addition_P3(params: Params, n_max: int, variant: str = "corrected") -> list[TSeries]:
+    """Residuals of the three-fold addition identity for n = 0..n_max,
 
     K_n(x+y) - sum_{k+l+m=n} n!/(k!l!m!) K_k(x) K_l(y) mu_m,
 
-    a series in y of order n whose coefficient j is the XPoly in x that
+    each a series in y of order n whose coefficient j is the XPoly in x that
     multiplies y^j.  The corrected reading pairs the second factor with y;
     the literal variant repeats x there (as the alternate printed form
     does) and is nonzero in general.  Zero residual means the identity holds.
     """
     if variant not in ("corrected", "literal"):
         raise ValueError(f"unknown P3 variant {variant!r}")
-    k_fam = K_series(params, n)
-    if variant == "corrected":
-        seconds = [_in_y(m.coeffs, n) for m in k_fam.members]
-    else:
-        seconds = [TSeries([m], n) for m in k_fam.members]
-    # sum_m binom(n,m) mu_m [sum_k binom(n-m,k) K_k(x) K_{n-m-k}(second)]
-    rhs = binomial_sum(
-        n,
-        lambda j: binomial_sum(j, seconds.__getitem__, k_fam.__getitem__),
-        mu_coeffs(n, params).__getitem__,
-    )
-    return _shifted(k_fam[n], n) - rhs
+    k_fam = K_series(params, n_max)
+    mu = mu_coeffs(n_max, params)
+    # pairs[j] = sum_k binom(j,k) K_k(x) K_{j-k}(second), a series in y of order j
+    pairs = []
+    for j in range(n_max + 1):
+        if variant == "corrected":
+            seconds = [_in_y(m.coeffs, j) for m in k_fam.members[: j + 1]]
+        else:
+            seconds = [TSeries([m], j) for m in k_fam.members[: j + 1]]
+        pairs.append(binomial_sum(j, seconds.__getitem__, k_fam.__getitem__))
+    return [
+        _shifted(m, n) - binomial_sum(n, lambda j: _in_y(pairs[j].coeffs, n), mu.__getitem__)
+        for n, m in enumerate(k_fam.members)
+    ]
 
 
-def addition_P4(n: int, params: Params) -> TSeries:
-    """Residual of K_n(x+y) - sum_k binom(n,k) K_k(x) [y]_{n-k}, a series in y
-    of order n over XPoly; zero when the bracket-factorial addition identity
-    holds."""
-    k_fam = K_series(params, n)
-    rhs = binomial_sum(n, lambda j: _in_y(bracket_y(j, params.q).coeffs, n), k_fam.__getitem__)
-    return _shifted(k_fam[n], n) - rhs
+def addition_P4(params: Params, n_max: int) -> list[TSeries]:
+    """Residuals of K_n(x+y) - sum_k binom(n,k) K_k(x) [y]_{n-k} for
+    n = 0..n_max, each a series in y of order n over XPoly; zero when the
+    bracket-factorial addition identity holds."""
+    k_fam = K_series(params, n_max)
+    brackets = [bracket_y(j, params.q).coeffs for j in range(n_max + 1)]
+    return [
+        _shifted(m, n) - binomial_sum(n, lambda j: _in_y(brackets[j], n), k_fam.__getitem__)
+        for n, m in enumerate(k_fam.members)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -468,7 +468,7 @@ class TestVerifyCommand:
         def broken(params, n_max):
             members = list(polys.K_series(params, n_max).members)
             members[1] = members[1] + 1
-            return polys.PolyFamily(params, n_max, tuple(members), "from-p")
+            return polys.PolyFamily(tuple(members), "from-p")
 
         monkeypatch.setitem(polys._ROUTES, "from-p", broken)
         argv = ["verify", "--params", config_file, "--n-max", "8", "--property"]

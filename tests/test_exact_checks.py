@@ -7,7 +7,8 @@ set A at n_max 4, and names the required checks the defect flips: exactly
 those read "mismatch".  The informational checks keep reading "mismatch".
 Every cache of the exact layer is cleared before and after each case, so
 no family or table built with the true kernel hides the defect, and none
-built with the defect outlives it.
+built with the defect outlives it.  On the same cleared caches, the last
+test counts the families that the addition and monomial checks build.
 """
 
 import json
@@ -17,7 +18,6 @@ import pytest
 from degenkraw import combinat, config, measure, polys
 from degenkraw.audit import CHECKS, RunContext
 from degenkraw.cli import cmd_audit
-from degenkraw.combinat import GrowingTable
 from degenkraw.config import config_from_dict
 from degenkraw.series import TSeries
 
@@ -57,12 +57,7 @@ def seed_eta(monkeypatch):
 
 def seed_kappa(monkeypatch):
     # kappa_2 wrong: the [1, zeta] table, read by p-from-k and the monomial expansion
-    original = combinat._kappa_table
-
-    def table(q):
-        return GrowingTable(lambda done: original(q)[len(done)] + (len(done) == 2))
-
-    monkeypatch.setattr(combinat, "_kappa_table", table)
+    monkeypatch.setattr(combinat, "kappa", off_by_one_at(combinat.kappa, (2,)))
 
 
 def seed_stirling1(monkeypatch):
@@ -151,3 +146,19 @@ def test_seeded_exact_defect_fails_the_audit(monkeypatch):
     failed = [e for e in report["rows"] if e["formula_id"] == "p-route-stirling2"]
     assert failed[0]["status"] == "mismatch"
     assert failed[0]["residual"].startswith("n=3: ")
+
+
+def test_identity_checks_build_each_family_once(monkeypatch):
+    # P2, P3 and P4 each read one family through their top order, not one per
+    # n: at n_max 10 the companions are built once, and K_series misses its
+    # cache only at the orders of P3's two readings, 8 and 1
+    ctx = RunContext.of(config_from_dict({**SET_A, "n_max": 10}))
+    identities = {"p2-monomial", "p3-addition", "p3-addition-literal", "p4-addition"}
+    built = []
+    original = polys.P_from_K
+    monkeypatch.setattr(polys, "P_from_K", lambda *args: built.append(args) or original(*args))
+    misses = polys.K_series.cache_info().misses
+    entries = [check.entry(ctx) for check in CHECKS if check.formula_id in identities]
+    assert len(entries) == 4 and all(e.passed == e.required for e in entries)
+    assert len(built) == 1
+    assert polys.K_series.cache_info().misses - misses <= 2

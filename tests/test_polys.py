@@ -251,8 +251,7 @@ class TestBasisChanges:
             assert acc == k_fam[n]
 
     def test_monomials(self, params):
-        for n in range(11):
-            assert monomial_from_K(n, params) == XPoly([0] * n + [1])
+        assert monomial_from_K(params, 10) == [XPoly([0] * n + [1]) for n in range(11)]
 
     def test_monomial_n1_assembly(self, set_a):
         # K_1/p + M(1): the varrho(1,1)=1/p weight is what restores x exactly
@@ -263,11 +262,12 @@ class TestBasisChanges:
 
 class TestAdditionIdentities:
     def test_p3_corrected_zero(self, params):
-        for n in range(9):
-            assert addition_P3(n, params, "corrected").is_zero()
+        residuals = addition_P3(params, 8, "corrected")
+        assert len(residuals) == 9
+        assert all(res.is_zero() for res in residuals)
 
     def test_p3_literal_nonzero(self, params):
-        res = addition_P3(1, params, "literal")
+        res = addition_P3(params, 1, "literal")[1]
         assert not res.is_zero()
         # residual is p(y - x) at n=1: -p*x times y^0, p times y^1
         assert res == TSeries([XPoly((0, -params.p)), XPoly((params.p,))], 1)
@@ -293,7 +293,7 @@ class TestAdditionIdentities:
         # (i, j) order; these are the strings of the bivariate class it replaced
         from degenkraw.audit import _xy_terms
 
-        assert _xy_terms(addition_P3(n, ALL_SETS[name], "literal")) == text
+        assert _xy_terms(addition_P3(ALL_SETS[name], n, "literal")[n]) == text
 
     def test_lift_into_y_never_truncates(self):
         # a series in y of order n holds degree n at most: a higher degree
@@ -307,8 +307,9 @@ class TestAdditionIdentities:
             _shifted(cubic, 2)
 
     def test_p4_zero(self, params):
-        for n in range(11):
-            assert addition_P4(n, params).is_zero()
+        residuals = addition_P4(params, 10)
+        assert len(residuals) == 11
+        assert all(res.is_zero() for res in residuals)
 
     def test_identity_sides_read_no_binomial_sum(self, monkeypatch):
         # the canonical families and the Taylor shift K_n(x+y), one side of
@@ -329,7 +330,7 @@ class TestAdditionIdentities:
         P_series.__wrapped__(params, 6)
         _shifted(k[6], 6)
         with pytest.raises(AssertionError):
-            addition_P4(6, params)
+            addition_P4(params, 6)
 
     def test_p4_y_zero_specialization(self, params):
         from degenkraw.combinat import bracket_y

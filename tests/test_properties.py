@@ -1,10 +1,10 @@
 """Property tests over the valid parameter space, beyond the sets A, B and C:
 every canonical route builds the canonical members, the series routes'
-members do not depend on the truncation order, and the addition,
-translation, monomial and lowering identities hold exactly, at random
-rational points with small denominators.  ``polys`` exits 0 on a valid
-point and 2, with one line of error and no traceback, on a point with one
-field out of its range or of the wrong type."""
+members and the identities' values do not depend on the truncation order,
+and the addition, translation, monomial and lowering identities hold
+exactly, at random rational points with small denominators.  ``polys``
+exits 0 on a valid point and 2, with one line of error and no traceback, on
+a point with one field out of its range or of the wrong type."""
 
 import io
 import json
@@ -79,10 +79,23 @@ def test_series_members_do_not_depend_on_n_max(params, n_max):
 @PROPERTY
 @given(_points(), st.integers(0, 5), st.builds(F, st.integers(-6, 6), st.integers(1, 4)))
 def test_identity_residuals_vanish(params, n, y):
-    assert addition_P3(n, params).is_zero()
-    assert addition_P4(n, params).is_zero()
+    # every identity returns one value for each n' <= n
+    assert all(res.is_zero() for res in addition_P3(params, n))
+    assert all(res.is_zero() for res in addition_P4(params, n))
     assert all(res.is_zero() for res in translation_series_residuals(params, y, n))
-    assert monomial_from_K(n, params) == XPoly([0] * n + [1])
+    assert monomial_from_K(params, n) == [XPoly([0] * k + [1]) for k in range(n + 1)]
+
+
+@PROPERTY
+@given(_points(), st.integers(0, 5))
+def test_identities_through_n_are_heads(params, n):
+    # value n' reads the families through n' only, so the values through n
+    # are the head of those through n + 3; the literal P3 residuals are
+    # nonzero from n' = 1 on, so the heads compare more than zeros
+    literal = addition_P3(params, n, "literal")
+    assert [res.order for res in literal] == list(range(n + 1))
+    assert literal == addition_P3(params, n + 3, "literal")[: n + 1]
+    assert monomial_from_K(params, n) == monomial_from_K(params, n + 3)[: n + 1]
 
 
 @PROPERTY
