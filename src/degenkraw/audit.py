@@ -303,10 +303,11 @@ def _example_c2(c: RunContext):
 
 
 def _example_member(n: int, printed):
-    """A quoted member against K_n; members do not depend on n_max."""
+    """A quoted member against K_n, read from the run's own family when it
+    reaches order 2; members do not depend on n_max."""
 
     def run(c: RunContext):
-        gap = _gap(printed(c.params), K_series(c.params, 2)[n])
+        gap = _gap(printed(c.params), K_series(c.params, max(2, c.n_max))[n])
         return gap, "canonical member from the generating series; quoted value recorded"
 
     return run

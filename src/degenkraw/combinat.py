@@ -7,7 +7,8 @@ inverse series), epsilon (coefficients of ((1+t)/(1+qt))^x) and the
 bracket factorials [y]_n, varpi / varrho (the weights of the two basis
 changes), and the two variants of the scaling weights rho.  epsilon and
 the bracket factorials are one table per q, the associated sequence of
-theta: [x]_n = n! epsilon_n(x).
+theta ([x]_n = n! epsilon_n(x)) and the classical Krawtchouk family at
+r = 0, grown by its three-term recurrence (``classical_rows``).
 
 The canonical definition of every coefficient family is its generating
 series.  One core computes them: the exponential Riordan array [1, X] of a
@@ -222,15 +223,6 @@ def theta_series(q: Fraction, order: int) -> TSeries:
     return log1p_scaled_series(1, order) - log1p_scaled_series(q, order)
 
 
-def _prefix_products(factor: Callable[[int], XPoly]) -> GrowingTable:
-    """1, factor(1), factor(1) factor(2), ...: running products of polynomials in x."""
-    return GrowingTable(lambda done: done[-1] * factor(len(done)) if done else XPoly.const(1))
-
-
-_X = XPoly.x()
-_FALLING_Y = _prefix_products(lambda n: _X - (n - 1))  # the falling factorials (y)_n
-
-
 def binomial_sum(n: int, a: Callable[[int], object], b: Callable[[int], object]):
     """sum_{k=0}^{n} binom(n,k) a(n-k) b(k), the binomial convolution behind
     every Appell and Sheffer identity.  It starts from its k = 0 term, so the
@@ -241,18 +233,30 @@ def binomial_sum(n: int, a: Callable[[int], object], b: Callable[[int], object])
     return total
 
 
+def classical_rows(q: Fraction, r: Fraction) -> GrowingTable:
+    """C_n = n! [t^n] (1+t)^x (1+qt)^(-x-r) for n = 0, 1, ..., p = 1 - q.  The
+    series G solves (1+t)(1+qt) G' = (p x - q r - q r t) G, so C_0 = 1 and
+    C_{n+1} = (p x - q r - (1+q) n) C_n - q n (n-1+r) C_{n-1}: the three-term
+    recurrence of the classical Krawtchouk (Meixner-type) family, O(N^2)
+    coefficient operations for the first N members."""
+    lead = XPoly((-q * r, 1 - q))  # p x - q r
+
+    def next_member(done):
+        n = len(done) - 1  # at n = 0 the weight q n (n-1+r) of C_{n-1} is 0
+        if n < 0:
+            return XPoly.const(1)
+        return (lead - (1 + q) * n) * done[n] - q * n * (n - 1 + r) * done[n - 1]
+
+    return GrowingTable(next_member)
+
+
 @lru_cache(maxsize=_TABLES)
 def _bracket_table(q: Fraction) -> GrowingTable:
-    """[y]_0, [y]_1, ...: the associated sequence of theta = log((1+t)/(1+qt)),
-    n! [t^n] ((1+t)/(1+qt))^y, each the binomial convolution
-    [y]_n = sum_k binom(n,k) q^k (y)_{n-k} (-y)_k.
-
-    ``bracket_y`` reads it as it is and ``epsilon`` divided by n!.  It reads
-    no Riordan table, so the routes built on it stay independent of
-    ``theta_triangle``.
-    """
-    scaled = _prefix_products(lambda n: q * (-_X - (n - 1))).__getitem__  # q^k (-y)_k
-    return GrowingTable(lambda done: binomial_sum(len(done), _FALLING_Y.__getitem__, scaled))
+    """[y]_n = n! [t^n] ((1+t)/(1+qt))^y, the associated sequence of theta: the
+    classical rows at r = 0, read by ``bracket_y`` as they are and by ``epsilon``
+    divided by n!.  They read no Riordan table and no binomial sum, so the routes
+    built on them stay independent of ``theta_triangle`` and ``epsilon_closed``."""
+    return classical_rows(q, Fraction(0))
 
 
 @lru_cache(maxsize=_TABLES)
@@ -319,8 +323,7 @@ def bracket_y(n: int, q) -> XPoly:
     """Bracket factorial [y]_n = sum_k binom(n,k) q^k (y)_{n-k} (-y)_k = n! epsilon_n(y).
 
     Returned as a polynomial in the translation variable; equals
-    n! [z^n] exp(y * log((1+z)/(1+qz))).
-    """
+    n! [z^n] exp(y * log((1+z)/(1+qz))), grown by ``classical_rows`` at r = 0."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     return _bracket_table(as_fraction(q))[n]

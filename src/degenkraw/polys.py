@@ -34,6 +34,7 @@ from .combinat import (
     _TABLES,
     binomial_sum,
     bracket_y,
+    classical_rows,
     deg_falling,
     faa_derivative,
     stirling1,
@@ -66,7 +67,7 @@ class PolyFamily:
 
     def __post_init__(self):
         if not self.route.endswith("literal"):
-            if self.members[0] != 1:
+            if self.members[:1] != (1,):  # an empty family has no member 0
                 raise ValueError(f"route {self.route}: member 0 must be 1")
             for n, m in enumerate(self.members):
                 if m.degree != n:
@@ -244,15 +245,10 @@ def K_stirling(params: Params, n_max: int, variant: str = "oracle") -> PolyFamil
 
 
 def classical_K(p, r, n_max: int) -> PolyFamily:
-    """Classical Krawtchouk family: n! [t^n] (1+t)^x (1+qt)^(-x-r); exact for rational r."""
-    from .series import gen_binomial
-
-    p, r = as_fraction(p), as_fraction(r)
-    q = 1 - p
-    x = XPoly.x()
-    a = TSeries([gen_binomial(x, n) for n in range(n_max + 1)], n_max)
-    b = TSeries([gen_binomial(-x - r, n) * q**n for n in range(n_max + 1)], n_max)
-    return PolyFamily(tuple((a * b).derivative_list()), "classical")
+    """Classical Krawtchouk family: n! [t^n] (1+t)^x (1+qt)^(-x-r), exact for
+    rational r, grown by its three-term recurrence (``combinat.classical_rows``)."""
+    rows = classical_rows(1 - as_fraction(p), as_fraction(r))
+    return PolyFamily(tuple(rows[n] for n in range(n_max + 1)), "classical")
 
 
 # ---------------------------------------------------------------------------

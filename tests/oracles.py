@@ -2,8 +2,9 @@
 
 Each is an independent route to a value the package computes another way:
 the composition and partition sums behind the Riordan tables (their cost
-grows exponentially in n), the inverse series zeta of theta, and series
-composition by Horner's rule.  None of them is part of the library, and
+grows exponentially in n), the inverse series zeta of theta, series
+composition by Horner's rule, and the classical Krawtchouk family as a
+product of two binomial series.  None of them is part of the library, and
 no module of ``degenkraw`` imports this one.
 """
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from degenkraw.combinat import kappa
-from degenkraw.series import TSeries, as_fraction, expm1_series, gen_binomial
+from degenkraw.series import TSeries, XPoly, as_fraction, expm1_series, gen_binomial
 
 
 # ---------------------------------------------------------------------------
@@ -188,3 +189,15 @@ def compose(outer: TSeries, inner: TSeries) -> TSeries:
     for k in range(outer.order - 1, -1, -1):
         result = result * inner + outer.coeffs[k]
     return result
+
+
+def classical_by_series(p, r, n_max: int) -> tuple:
+    """n! [t^n] (1+t)^x (1+qt)^(-x-r) for n <= n_max, q = 1 - p, from the
+    product of the two binomial series; the reference form of ``classical_K``
+    and, at r = 0, of the bracket factorials."""
+    p, r = as_fraction(p), as_fraction(r)
+    q = 1 - p
+    x = XPoly.x()
+    a = TSeries([gen_binomial(x, n) for n in range(n_max + 1)], n_max)
+    b = TSeries([gen_binomial(-x - r, n) * q**n for n in range(n_max + 1)], n_max)
+    return tuple((a * b).derivative_list())

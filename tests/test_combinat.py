@@ -323,6 +323,28 @@ class TestCoefficientFamilies:
         for n in range(9):
             assert bracket_y(n, Q) == math.factorial(n) * epsilon(n, Q)
 
+    def test_bracket_table_and_closed_form_are_independent(self):
+        # the bracket table is grown by the classical recurrence, reading
+        # neither the binomial convolution that epsilon_closed evaluates nor a
+        # Riordan table, and the closed form reads no bracket table: each
+        # builds with the other's kernels disabled, so the audit's
+        # epsilon-closed-derived compares two constructions.  A q no other
+        # test uses keeps the table cold.
+        import degenkraw.combinat as cb
+
+        def disabled(*args):
+            raise AssertionError("a disabled kernel was read")
+
+        q = F(9, 11)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cb, "binomial_sum", disabled)
+            mp.setattr(cb, "riordan_triangle", disabled)
+            brackets = [bracket_y(n, q) for n in range(25)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cb, "_bracket_table", disabled)
+            closed = [epsilon_closed(k, q, "derived") for k in range(25)]
+        assert brackets == [math.factorial(k) * e for k, e in enumerate(closed)]
+
     def test_bracket_equals_theta_triangle_rows(self):
         # exp(y theta) = sum_k y^k theta^k / k!, so row n of [1, theta] holds
         # the coefficients of [y]_n; the two tables are grown independently

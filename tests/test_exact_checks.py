@@ -8,7 +8,7 @@ those read "mismatch".  The informational checks keep reading "mismatch".
 Every cache of the exact layer is cleared before and after each case, so
 no family or table built with the true kernel hides the defect, and none
 built with the defect outlives it.  On the same cleared caches, the last
-test counts the families that the addition and monomial checks build.
+two tests count the families that the identity and exact checks build.
 """
 
 import json
@@ -60,6 +60,19 @@ def seed_kappa(monkeypatch):
     monkeypatch.setattr(combinat, "kappa", off_by_one_at(combinat.kappa, (2,)))
 
 
+def seed_brackets(monkeypatch):
+    # [y]_2 wrong: the bracket table, read by epsilon, the epsilon and Bell
+    # routes, P4 and the scaling weights; off by int(1), since XPoly refuses
+    # the bool that off_by_one_at adds
+    original = combinat._bracket_table
+
+    def table(q):
+        rows = original(q)
+        return combinat.GrowingTable(lambda done: rows[len(done)] + int(len(done) == 2))
+
+    monkeypatch.setattr(combinat, "_bracket_table", table)
+
+
 def seed_stirling1(monkeypatch):
     # s(3, 2) wrong in the double Stirling sum
     monkeypatch.setattr(polys, "stirling1", off_by_one_at(polys.stirling1, (3, 2)))
@@ -105,6 +118,10 @@ def seed_xi(monkeypatch):
 CASES = {
     seed_eta: {"k-route-from-p", "p1-basis-change", "stirling-transition-corrected"},
     seed_kappa: {"p-route-from-k", "p2-monomial"},
+    seed_brackets: {
+        "epsilon-closed-derived", "k-route-epsilon", "k-route-bell-corrected", "p4-addition",
+        "scaling-weights",
+    },
     seed_stirling1: {"k-route-stirling-oracle", "stirling-transition-corrected"},
     seed_stirling2: {"p-route-stirling2"},
     seed_moments: {"p-route-bell", "p2-monomial"},
@@ -162,3 +179,14 @@ def test_identity_checks_build_each_family_once(monkeypatch):
     assert len(entries) == 4 and all(e.passed == e.required for e in entries)
     assert len(built) == 1
     assert polys.K_series.cache_info().misses - misses <= 2
+
+
+@pytest.mark.parametrize("n_max, misses", [(0, 3), (1, 2), (10, 3)])
+def test_k_series_misses_per_exact_run(n_max, misses):
+    # the quoted examples read the run's own family when it reaches order 2;
+    # at n_max 10 the misses are the run's order and P3's readings at 8 and 1,
+    # and at n_max 0 and 1 the examples still need a family through order 2
+    ctx = RunContext.of(config_from_dict({**SET_A, "n_max": n_max, "precision_digits": 40}))
+    for check in EXACT:
+        check.entry(ctx)
+    assert polys.K_series.cache_info().misses == misses

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import ALL_SETS
-from degenkraw.combinat import epsilon, eta, stirling1, theta_triangle
+from degenkraw.combinat import bracket_y, epsilon, eta, stirling1, theta_triangle
 from degenkraw.measure import Params, exact_moments
 from degenkraw.polys import (
     K_ROUTES,
@@ -35,6 +35,7 @@ from degenkraw.polys import (
     xi_series,
 )
 from degenkraw.series import TSeries, XPoly
+from oracles import classical_by_series
 
 
 class TestCoefficientData:
@@ -188,6 +189,12 @@ class TestKFamily:
             assert family(set_a, 3, route).route == route
         with pytest.raises(ValueError):
             family(set_a, 4, "nope")
+
+    @pytest.mark.parametrize("route", K_ROUTES + P_ROUTES + ("classical",))
+    def test_negative_order_raises_value_error(self, set_a, route):
+        # a family needs member 0, whichever construction it takes
+        with pytest.raises(ValueError):
+            family(set_a, -1, route)
 
 
 class TestPFamily:
@@ -461,6 +468,19 @@ class TestClassicalFamily:
         q = 1 - p
         assert fam[0] == 1
         assert fam[1] == XPoly((-q * r, p))
+
+    def test_recurrence_matches_series_product(self, params):
+        # the three-term recurrence against the product of the binomial series
+        # (1+t)^x and (1+qt)^(-x-r)
+        fam = classical_K(params.p, params.r, 16)
+        assert fam.members == classical_by_series(params.p, params.r, 16)
+
+    def test_r_zero_member_is_the_bracket_table(self):
+        # at r = 0 the family is ((1+t)/(1+qt))^x: the bracket factorials
+        p = F(4, 7)
+        fam = classical_K(p, 0, 16)
+        assert fam.members == classical_by_series(p, 0, 16)
+        assert fam.members == tuple(bracket_y(n, 1 - p) for n in range(17))
 
     def test_degenerate_limit(self):
         p, r = F(3, 5), F(3)

@@ -1,5 +1,6 @@
 """Property tests over the valid parameter space, beyond the sets A, B and C:
-every canonical route builds the canonical members, the series routes'
+every canonical route builds the canonical members, the classical family and
+the bracket factorials match their reference constructions, the series routes'
 members and the identities' values do not depend on the truncation order,
 and the addition, translation, monomial and lowering identities hold
 exactly, at random rational points with small denominators.  ``polys``
@@ -8,6 +9,7 @@ a point with one field out of its range or of the wrong type."""
 
 import io
 import json
+import math
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,6 +19,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from degenkraw.cli import main
+from degenkraw.combinat import bracket_y, epsilon_closed, theta_triangle
 from degenkraw.config import Params
 from degenkraw.operators import translation_series_residuals
 from degenkraw.polys import (
@@ -27,10 +30,12 @@ from degenkraw.polys import (
     _shifted,
     addition_P3,
     addition_P4,
+    classical_K,
     family,
     monomial_from_K,
 )
 from degenkraw.series import XPoly
+from oracles import classical_by_series
 
 CANONICAL_K = [r for r in K_ROUTES if not r.endswith("literal")]
 # no shrinking: a failure is reported at the first failing point, already
@@ -74,6 +79,19 @@ def test_series_members_do_not_depend_on_n_max(params, n_max):
     for route in ("series", "p-series", "classical"):
         head = family(params, n_max + 3, route).members[: n_max + 1]
         assert family(params, n_max, route).members == head, route
+
+
+@PROPERTY
+@given(_points(), st.integers(0, 8))
+def test_recurrence_tables_match_their_references(params, n):
+    # the classical family's three-term recurrence against the binomial series
+    # product, and its r = 0 member, the bracket factorials, against the
+    # closed binomial form and the row of the [1, theta] table
+    members = classical_K(params.p, params.r, n).members
+    assert members == classical_by_series(params.p, params.r, n)
+    q = params.q
+    assert bracket_y(n, q) == math.factorial(n) * epsilon_closed(n, q, "derived")
+    assert bracket_y(n, q) == XPoly(theta_triangle(q)[n])
 
 
 @PROPERTY
