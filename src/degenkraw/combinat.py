@@ -13,14 +13,16 @@ r = 0, grown by its three-term recurrence (``classical_rows``).
 The canonical definition of every coefficient family is its generating
 series.  One core computes them: the exponential Riordan array [1, X] of a
 series X(z) = sum_j x_j z^j / j!, whose entry (n, k) is n! [z^n] X^k / k!,
-the partial Bell polynomial B_{n,k}(x_1, x_2, ...).  varpi, varrho and
-bell_partial read it for X = theta, zeta and an exact argument vector, and
-every table grows on demand in time polynomial in n.
+the partial Bell polynomial B_{n,k}(x_1, x_2, ...).  varpi and varrho read
+it for X = theta and zeta, one table per q; bell_partial and faa_derivative
+build a fresh one per call from their exact argument vector.  Every table
+grows on demand in time polynomial in n.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -28,8 +30,8 @@ from typing import Callable, Sequence
 
 from .series import TSeries, XPoly, as_fraction, gen_binomial, log1p_scaled_series
 
-# Tables of each kind (one per q, or per Bell argument vector) kept at
-# once; each holds every row grown so far.
+# Tables of each kind (one per q) kept at once; each holds every row grown
+# so far.
 _TABLES = 32
 
 
@@ -147,23 +149,16 @@ def riordan_triangle(x: Callable[[int], object], size: int | None = None) -> Gro
     return GrowingTable(next_row)
 
 
-@lru_cache(maxsize=_TABLES)
-def _exact_bell_triangle(xs: tuple, kinds: tuple) -> GrowingTable:
-    # `kinds` keeps equal vectors of different coefficient types apart
-    return riordan_triangle(lambda j: xs[j - 1], len(xs))
-
-
 def bell_triangle(xs: Sequence) -> GrowingTable:
     """The partial Bell triangle of one exact argument vector (ints,
     Fractions, XPoly values): row n holds B_{n,k}(xs) for k = 0..n.
 
-    Equal vectors share a cached table; any other argument raises TypeError.
+    Each call builds a fresh table; any other argument raises TypeError.
     """
     xs = tuple(xs)
-    kinds = tuple(map(type, xs))
-    if not all(issubclass(t, (int, Fraction, XPoly)) for t in kinds):
+    if not all(isinstance(v, (int, Fraction, XPoly)) for v in xs):
         raise TypeError("Bell triangles take exact arguments: ints, Fractions or XPoly values")
-    return _exact_bell_triangle(xs, kinds)
+    return riordan_triangle(lambda j: xs[j - 1], len(xs))
 
 
 def bell_partial(n: int, k: int, xs: Sequence):
@@ -178,25 +173,25 @@ def bell_partial(n: int, k: int, xs: Sequence):
     return bell_triangle(xs)[n][k]
 
 
-def faa_derivative(outer_derivs: Sequence, inner_derivs: Sequence, n: int):
-    """n-th derivative of a composition phi(psi(t)) at a point.
+def faa_derivative(outer_derivs: Sequence, inner_derivs: Sequence, n_max: int) -> list:
+    """Derivatives 0..n_max of a composition phi(psi(t)) at a point.
 
     outer_derivs[k] = phi^{(k)} evaluated at psi(t0); inner_derivs[j] =
-    psi^{(j)}(t0) for j >= 1 (index 0 is ignored).  Returns
-    sum_{k=0}^{n} outer_derivs[k] * B_{n,k}(psi', psi'', ...).
+    psi^{(j)}(t0) for j >= 1 (index 0 is ignored).  Entry n is
+    sum_{k=0}^{n} outer_derivs[k] * B_{n,k}(psi', psi'', ...), summed from its
+    k = 0 term; every row comes from one Bell triangle of inner_derivs[1 : n_max + 1].
     """
-    if n < 0:
+    if n_max < 0:
         raise ValueError("derivative order must be nonnegative")
-    if len(outer_derivs) < n + 1:
-        raise ValueError("need outer derivatives through order n")
-    if n >= 1 and len(inner_derivs) < n + 1:
-        raise ValueError("need inner derivatives through order n")
-    row = bell_triangle(inner_derivs[1:])[n]
-    total = None
-    for k in range(n + 1):
-        term = outer_derivs[k] * row[k]
-        total = term if total is None else total + term
-    return total
+    if len(outer_derivs) < n_max + 1:
+        raise ValueError("need outer derivatives through order n_max")
+    if n_max >= 1 and len(inner_derivs) < n_max + 1:
+        raise ValueError("need inner derivatives through order n_max")
+    rows = bell_triangle(inner_derivs[1 : n_max + 1])
+    return [
+        sum(map(operator.mul, outer_derivs[1:], rows[n][1:]), outer_derivs[0] * rows[n][0])
+        for n in range(n_max + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

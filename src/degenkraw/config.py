@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .combinat import _TABLES
 from .series import TSeries, as_fraction, expm1_series
@@ -48,21 +48,23 @@ VARIANT_PROPERTIES = ("p3", "scaling")
 class Params:
     """Model parameters; all exact rationals.
 
-    Invariants: lam < 0, beta > 0, 0 < p < 1, q = 1 - p, r > 0.  Under
-    these, 1 + lam*r*log(p) > 1 automatically (lam and log p are both
-    negative).
+    Invariants: lam < 0, beta > 0, 0 < p < 1, r > 0; q = 1 - p is
+    derived.  Under these, 1 + lam*r*log(p) > 1 automatically (lam and
+    log p are both negative).
     """
 
     lam: Fraction
     beta: Fraction
     p: Fraction
-    q: Fraction
     r: Fraction
 
     @classmethod
     def make(cls, lam, beta, p, r) -> "Params":
-        lam, beta, p, r = map(as_fraction, (lam, beta, p, r))
-        return cls(lam=lam, beta=beta, p=p, q=1 - p, r=r)
+        return cls(*map(as_fraction, (lam, beta, p, r)))
+
+    @cached_property
+    def q(self) -> Fraction:
+        return 1 - self.p
 
     def __post_init__(self):
         if not self.lam < 0:
@@ -71,8 +73,6 @@ class Params:
             raise ValueError("beta must be positive")
         if not 0 < self.p < 1:
             raise ValueError("p must lie in (0, 1)")
-        if self.q != 1 - self.p:
-            raise ValueError("q must equal 1 - p")
         if not self.r > 0:
             raise ValueError("r must be positive")
 

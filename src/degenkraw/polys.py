@@ -104,7 +104,7 @@ def mu_coeffs(n_max: int, params: Params) -> list[Fraction]:
     composition-derivative formula with outer derivatives (beta)_{j,lam}."""
     outer = [deg_falling(params.beta, j, params.lam) for j in range(n_max + 1)]
     inner = xi_derivs(n_max, params)
-    return [faa_derivative(outer, inner, k) for k in range(n_max + 1)]
+    return faa_derivative(outer, inner, n_max)
 
 
 def c_coeffs(n_max: int, params: Params) -> list[Fraction]:
@@ -114,8 +114,6 @@ def c_coeffs(n_max: int, params: Params) -> list[Fraction]:
     equivalently n! r^{-n} times the n-th coefficient of the reciprocal
     series (the dual route checked by the tests).
     """
-    if params.r == 0:
-        raise ValueError("r must be nonzero")
     mu = mu_coeffs(n_max, params)
     c = [Fraction(1)]
     for n in range(1, n_max + 1):
@@ -143,7 +141,7 @@ def _bell_sums(args, basis) -> tuple[XPoly, ...]:
     A_j = sum_i (-1)^i i! B_{j,i}(args), the composition derivative with the
     outer derivatives (-1)^i i! of 1/y at y = 1."""
     outer = [(-1) ** i * math.factorial(i) for i in range(len(basis))]
-    consts = [faa_derivative(outer, args, j) for j in range(len(basis))]
+    consts = faa_derivative(outer, args, len(basis) - 1)
     return tuple(binomial_sum(n, consts.__getitem__, basis.__getitem__) for n in range(len(basis)))
 
 

@@ -8,11 +8,13 @@ import pytest
 
 from degenkraw.combinat import (
     bell_partial,
+    bell_triangle,
     bracket_y,
     deg_falling,
     epsilon,
     epsilon_closed,
     eta,
+    faa_derivative,
     kappa,
     rho_scaling,
     stirling1,
@@ -244,6 +246,31 @@ class TestBell:
         for inexact in (mpmath.mpf(1) / 2, 0.5):
             with pytest.raises(TypeError):
                 bell_partial(9, 3, [inexact] + exact[1:])
+
+    def test_equal_vectors_of_two_types_keep_their_types(self):
+        # an XPoly constant equals its Fraction, so a table shared by equal
+        # vectors would hand one type's entries to the other
+        fractions = [F(2 * i + 1, i + 3) for i in range(8)]
+        consts = [XPoly.const(v) for v in fractions]
+        assert consts == fractions
+        for first, second in ((fractions, consts), (consts, fractions)):
+            for xs in (first, second):
+                kind = type(xs[0])
+                assert all(type(b) is kind for b in bell_triangle(xs)[8][1:])
+                assert all(type(bell_partial(8, k, xs)) is kind for k in range(1, 9))
+
+    def test_faa_derivative_by_order(self):
+        # one call returns every derivative through its order: a lower order
+        # is its head, and entry n sums outer[k] B_{n,k}(inner[1:]) over k
+        outer = [F(k * k - 2, k + 1) for k in range(13)]
+        rationals = [F(0)] + [F(3 - i, 2 * i + 1) for i in range(1, 13)]
+        polys = [XPoly()] + [XPoly((F(i), F(-1, i + 1), F(i, 3))) for i in range(1, 13)]
+        for inner in (rationals, polys):
+            for n in range(10):
+                derivs = faa_derivative(outer, inner, n)
+                assert derivs == faa_derivative(outer, inner, n + 3)[: n + 1]
+                want = sum(outer[k] * bell_partial(n, k, inner[1:]) for k in range(n + 1))
+                assert derivs[n] == want
 
 
 class TestDegFalling:

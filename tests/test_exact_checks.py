@@ -73,6 +73,23 @@ def seed_brackets(monkeypatch):
     monkeypatch.setattr(combinat, "_bracket_table", table)
 
 
+def seed_bell(monkeypatch):
+    # B_{2,1} wrong in every Bell triangle of an argument vector, as the
+    # composition derivatives behind mu and the Bell routes read it; off by
+    # int(1), as for the brackets
+    original = combinat.bell_triangle
+
+    def triangle(xs):
+        rows = original(xs)
+        return combinat.GrowingTable(
+            lambda done: tuple(
+                b + int((len(done), k) == (2, 1)) for k, b in enumerate(rows[len(done)])
+            )
+        )
+
+    monkeypatch.setattr(combinat, "bell_triangle", triangle)
+
+
 def seed_stirling1(monkeypatch):
     # s(3, 2) wrong in the double Stirling sum
     monkeypatch.setattr(polys, "stirling1", off_by_one_at(polys.stirling1, (3, 2)))
@@ -121,6 +138,10 @@ CASES = {
     seed_brackets: {
         "epsilon-closed-derived", "k-route-epsilon", "k-route-bell-corrected", "p4-addition",
         "scaling-weights",
+    },
+    seed_bell: {
+        "coefficient-recurrence", "denominator-derivatives", "k-route-bell-corrected",
+        "k-route-epsilon", "p-route-bell", "p3-addition",
     },
     seed_stirling1: {"k-route-stirling-oracle", "stirling-transition-corrected"},
     seed_stirling2: {"p-route-stirling2"},

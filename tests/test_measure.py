@@ -1,5 +1,6 @@
 """Measure-side checks: pmf variants, Laplace transform, moments, mixture."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -137,6 +138,12 @@ class TestParams:
     def test_q_is_complement(self):
         p = Params.make("-1/2", 2, "3/5", 3)
         assert p.q == F(2, 5)
+
+    def test_q_is_derived(self):
+        # q is no field, so no Params can hold a q other than 1 - p
+        assert [f.name for f in dataclasses.fields(Params)] == ["lam", "beta", "p", "r"]
+        for p in ("3/5", "1/7", "999/1000"):
+            assert Params.make(-1, 1, p, 1).q == 1 - F(p)
 
 
 class TestDegExp:

@@ -81,6 +81,17 @@ class TestCoefficientData:
         ]
         assert c_coeffs(order, params) == series_route
 
+    def test_mu_reads_one_bell_triangle(self, set_a, monkeypatch):
+        # every mu_k through the order comes from one composition-derivative
+        # call, so one Bell triangle of the inner derivatives
+        import degenkraw.combinat as cb
+
+        built = []
+        original = cb.bell_triangle
+        monkeypatch.setattr(cb, "bell_triangle", lambda xs: built.append(xs) or original(xs))
+        mu_coeffs(24, set_a)
+        assert len(built) == 1
+
     def test_coeff_table_invariants(self, params):
         assert c_coeffs(8, params)[0] == 1
         assert mu_coeffs(8, params)[0] == 1
