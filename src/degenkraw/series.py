@@ -3,7 +3,8 @@
 Every canonical computation in this package runs over arbitrary-precision
 rationals (`fractions.Fraction`).  Two value types live here:
 
-* ``XPoly``   dense univariate polynomials with Fraction coefficients,
+* ``XPoly``   dense univariate polynomials, stored as integer numerators
+  over one denominator; their Fraction ``coeffs`` are built on first read,
 * ``TSeries`` truncated formal power series of a fixed order N whose
   coefficients are Fractions or ``XPoly`` values; a polynomial in x and y
   is a series in y over ``XPoly`` (the addition identities).
@@ -40,23 +41,51 @@ def as_fraction(value) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class XPoly:
-    """Dense polynomial in one variable over Fraction.
+    """Dense polynomial in one variable over the rationals.
 
-    Coefficients are stored lowest degree first with no trailing zeros;
-    the zero polynomial stores an empty tuple and reports degree -1.
+    Stored as integer numerators ``_num``, lowest degree first with no
+    trailing zeros, over one positive denominator ``_den``, in lowest terms:
+    ``gcd(_den, *_num) == 1``.  The zero polynomial is ``()`` over 1 and
+    reports degree -1.  Arithmetic runs on the integers with one gcd per
+    result; ``coeffs``, the tuple of Fractions, is built on first read and
+    kept.  The form is canonical, so ``==`` compares it directly.
     Instances are immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, num: list, den: int) -> None:
+        """Store num/den, den positive, in lowest terms."""
+        while num and not num[-1]:
+            num.pop()
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = [a // g for a in num], den // g
+        object.__setattr__(self, "_num", tuple(num))
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _of(cls, num: list, den: int) -> "XPoly":
+        self = object.__new__(cls)
+        self._set(num, den)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("XPoly is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        try:
+            return self._coeffs
+        except AttributeError:
+            cs = tuple(Fraction(a, self._den) for a in self._num)
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
 
     @classmethod
     def const(cls, c) -> "XPoly":
@@ -68,30 +97,37 @@ class XPoly:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self._num[i], self._den) if 0 <= i < len(self._num) else Fraction(0)
 
     @property
     def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeff(self.degree)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = XPoly.const(other)
         if not isinstance(other, XPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return XPoly(self.coeff(i) + other.coeff(i) for i in range(n))
+        a, da, b, db = self._num, self._den, other._num, other._den
+        if len(a) < len(b):
+            a, da, b, db = b, db, a, da
+        g = math.gcd(da, db)
+        ma, mb = db // g, da // g
+        out = [c * ma for c in a]
+        for i, c in enumerate(b):
+            out[i] += c * mb
+        return XPoly._of(out, da * ma)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return XPoly(-c for c in self.coeffs)
+        return XPoly._of([-a for a in self._num], self._den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, XPoly) else XPoly.const(-as_fraction(other)))
@@ -101,23 +137,23 @@ class XPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return XPoly(c * other for c in self.coeffs) if other else XPoly()
+            return XPoly._of([a * other.numerator for a in self._num], self._den * other.denominator)
         if not isinstance(other, XPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b = self._num, other._num
+        if not a or not b:
             return XPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return XPoly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, d in enumerate(b, i):
+                    out[j] += c * d
+        return XPoly._of(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        s = as_fraction(scalar)
-        return XPoly(c / s for c in self.coeffs)
+        return self * (1 / as_fraction(scalar))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -136,33 +172,31 @@ class XPoly:
             other = XPoly.const(other)
         if not isinstance(other, XPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __call__(self, value):
         """Evaluate by Horner's rule; `value` may be a scalar or an XPoly, and
         the result lies in its ring, a constant polynomial's too."""
-        if len(self.coeffs) <= 1:
+        cs = self.coeffs
+        if len(cs) <= 1:
             return 0 * value + self.coeff(0)
-        result = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        result = cs[-1]
+        for c in reversed(cs[:-1]):
             result = result * value + c
         return result
 
     def derivative(self) -> "XPoly":
-        return XPoly(i * c for i, c in enumerate(self.coeffs) if i >= 1)
+        return XPoly._of([i * a for i, a in enumerate(self._num)][1:], self._den)
 
     def scale_arg(self, z) -> "XPoly":
         """Substitute x -> z*x for a scalar z."""
         z = as_fraction(z)
-        zp = Fraction(1)
-        out = []
-        for c in self.coeffs:
-            out.append(c * zp)
-            zp *= z
-        return XPoly(out)
+        d = max(self.degree, 0)
+        zn, zd = z.numerator, z.denominator
+        return XPoly._of([a * zn**i * zd ** (d - i) for i, a in enumerate(self._num)], self._den * zd**d)
 
     def __repr__(self):
         if not self.coeffs:

@@ -3,8 +3,9 @@
 Each is an independent route to a value the package computes another way:
 the composition and partition sums behind the Riordan tables (their cost
 grows exponentially in n), the inverse series zeta of theta, series
-composition by Horner's rule, and the classical Krawtchouk family as a
-product of two binomial series.  None of them is part of the library, and
+composition by Horner's rule, the classical Krawtchouk family as a
+product of two binomial series, and polynomials as plain lists of
+Fractions.  None of them is part of the library, and
 no module of ``degenkraw`` imports this one.
 """
 
@@ -151,6 +152,65 @@ def rho_by_compositions(m: int, k: int, q, r, variant: str = "corrected") -> Fra
     if variant == "corrected":
         return total * q**k * r**m
     return total * q**m
+
+
+# ---------------------------------------------------------------------------
+# polynomials
+# ---------------------------------------------------------------------------
+
+class FracPoly:
+    """A dense polynomial as a plain list of Fractions, lowest degree first
+    with no trailing zeros: the reference that ``XPoly``, stored as integer
+    numerators over one denominator, is held to.  Evaluation sums c_i v^i
+    term by term, not by Horner's rule."""
+
+    def __init__(self, coeffs=()):
+        self.coeffs = [Fraction(c) for c in coeffs]
+        while self.coeffs and self.coeffs[-1] == 0:
+            self.coeffs.pop()
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        n = max(len(a), len(b))
+        return FracPoly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+    def __neg__(self):
+        return FracPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, FracPoly):
+            return FracPoly(c * other for c in self.coeffs)
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FracPoly(out)
+
+    def __truediv__(self, scalar):
+        if scalar == 0:
+            raise ZeroDivisionError("polynomial division by zero")
+        return FracPoly(c / scalar for c in self.coeffs)
+
+    def __pow__(self, n: int):
+        result = FracPoly([1])
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __call__(self, value):
+        total = FracPoly() if isinstance(value, FracPoly) else Fraction(0)
+        for i, c in enumerate(self.coeffs):
+            total = total + value**i * c
+        return total
+
+    def derivative(self):
+        return FracPoly(i * c for i, c in enumerate(self.coeffs) if i)
+
+    def scale_arg(self, z):
+        return FracPoly(c * Fraction(z) ** i for i, c in enumerate(self.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from mpmath import mp
 
 import degenkraw
 from degenkraw.measure import MeasureModel, _standard_nodes
+from degenkraw.polys import K_series
 
 from conftest import SET_A, SET_B
 
@@ -93,6 +94,22 @@ def test_node_table_shared_by_threads_gives_sequential_bits():
     got = _in_threads([lambda d=d: job(d) for d in digits])
     assert got == [expected[d] for d in digits]
     assert mp.dps == 15
+
+
+def test_lazy_coefficients_read_by_threads_equal_a_sequential_read():
+    # an XPoly builds its tuple of Fractions on first read and keeps it; four
+    # threads read the members of one freshly built family at once, two from
+    # each end, so several may build the same member's tuple
+    expected = [m.coeffs for m in K_series(SET_A, 24).members]
+    K_series.cache_clear()
+    members = K_series(SET_A, 24).members
+    assert not any(hasattr(m, "_coeffs") for m in members)  # none read yet
+
+    def read(step):
+        return {n: members[n].coeffs for n in range(len(members))[::step]}
+
+    got = _in_threads([lambda: read(1), lambda: read(-1)] * 2)
+    assert got == [dict(enumerate(expected))] * 4
 
 
 # the one function allowed to set a context's precision, in measure.py

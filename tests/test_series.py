@@ -6,8 +6,11 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from degenkraw.audit import _xy_terms
 from degenkraw.combinat import bell_partial, epsilon, faa_derivative, theta_series
 from degenkraw.series import (
     NonInvertibleSeries,
@@ -17,7 +20,7 @@ from degenkraw.series import (
     log1p_scaled_series,
 )
 
-from oracles import compose, exp_series, zeta_series
+from oracles import FracPoly, compose, exp_series, zeta_series
 
 N = 12
 
@@ -81,6 +84,97 @@ class TestXPoly:
         q = F(2, 5)
         for n in range(8):
             assert gen_binomial(F(-1), n) * (-q) ** n == q**n
+
+    def test_division_by_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            XPoly((1, 2)) / 0
+
+    def test_repr_pins_the_printed_form(self):
+        cases = {
+            (): "0",
+            (0, -1): "-1*x",
+            (0, 1): "x",
+            (0, 0, 1): "x^2",
+            (0, 0, -1): "-1*x^2",
+            (1, 0, 0, 5): "1 + 5*x^3",
+            (F(-1, 2), 0, 1): "-1/2 + x^2",
+            (3, 1, F(-2, 3)): "3 + x - 2/3*x^2",
+        }
+        assert {c: repr(XPoly(c)) for c in cases} == cases
+
+    def test_xy_terms_pins_the_printed_residual(self):
+        # the audit prints an addition residual, a series in y over XPoly, this way
+        residual = TSeries([XPoly((F(-1, 2), 0, 1)), XPoly((0, -1)), XPoly((3, F(2, 3)))], 2)
+        assert _xy_terms(residual) == "-1/2 + 3*y^2 - 1*x*y + 2/3*x*y^2 + 1*x^2"
+        assert _xy_terms(TSeries([XPoly(), XPoly()], 1)) == "0"
+
+
+def _assert_normal(p: XPoly):
+    """XPoly's stored form: integer numerators with no trailing zero over a
+    positive denominator, in lowest terms; zero is () over 1."""
+    assert all(type(a) is int for a in p._num) and type(p._den) is int
+    assert p._den > 0
+    assert not p._num or p._num[-1] != 0
+    assert math.gcd(p._den, *p._num) == 1
+
+
+def _held(got, ref: FracPoly):
+    """`got` is an XPoly in its stored form with the reference's coefficients."""
+    assert isinstance(got, XPoly)
+    _assert_normal(got)
+    assert got.coeffs == tuple(ref.coeffs) and all(type(c) is F for c in got.coeffs)
+    assert got.degree == len(ref.coeffs) - 1
+    same = XPoly(ref.coeffs)
+    assert got == same and hash(got) == hash(same)
+
+
+# large and pairwise coprime denominators: two Mersenne primes, 3^40, 10^18
+_DENOMINATORS = st.sampled_from([1, 2, 3, 6, 7, 2**31 - 1, 2**61 - 1, 3**40, 10**18])
+_RATIONALS = st.builds(F, st.integers(-(10**20), 10**20), _DENOMINATORS)
+_SCALARS = st.one_of(st.integers(-(10**6), 10**6), _RATIONALS)
+_COEFFS = st.lists(st.one_of(st.just(0), _RATIONALS), max_size=7)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=None,
+    phases=[Phase.explicit, Phase.generate],
+)
+@given(_COEFFS, _COEFFS, _COEFFS, st.booleans(), _SCALARS, _SCALARS.filter(bool), st.integers(0, 3))
+def test_xpoly_holds_to_the_fraction_list_reference(a, b, tail, cancel, s, d, k):
+    ra = FracPoly(a)
+    # with `cancel`, b is -a plus a lower tail, so a + b loses a's top terms
+    # and, for an empty tail, is zero: () over 1
+    rb = -ra + FracPoly(tail[: max(len(ra.coeffs) - 1, 0)]) if cancel else FracPoly(b)
+    pa, pb, rs = XPoly(a), XPoly(rb.coeffs), FracPoly([s])
+    for got, ref in [
+        (pa, ra),
+        (pb, rb),
+        (pa + pb, ra + rb),
+        (pa - pb, ra - rb),
+        (pa * pb, ra * rb),
+        (-pa, -ra),
+        (pa - pa, FracPoly()),
+        (pa + s, ra + rs),
+        (s + pa, ra + rs),
+        (pa - s, ra - rs),
+        (s - pa, rs - ra),
+        (pa * s, ra * F(s)),
+        (s * pa, ra * F(s)),
+        (pa * 0, FracPoly()),
+        (pa / d, ra / F(d)),
+        (pa**k, ra**k),
+        (pa.derivative(), ra.derivative()),
+        (pa.scale_arg(s), ra.scale_arg(s)),
+        (pa(pb), ra(rb)),
+    ]:
+        _held(got, ref)
+    assert pa(s) == ra(F(s))
+    assert (pa == pb) == (ra.coeffs == rb.coeffs)
+    assert (pa == s) == (ra.coeffs == rs.coeffs)
+    assert XPoly(list(a) + [0, 0]) == pa and hash(XPoly(list(a) + [0, 0])) == hash(pa)
 
 
 class TestSeriesArithmetic:
