@@ -15,8 +15,11 @@ series.  One core computes them: the exponential Riordan array [1, X] of a
 series X(z) = sum_j x_j z^j / j!, whose entry (n, k) is n! [z^n] X^k / k!,
 the partial Bell polynomial B_{n,k}(x_1, x_2, ...).  varpi and varrho read
 it for X = theta and zeta, one table per q; bell_partial and faa_derivative
-build a fresh one per call from their exact argument vector.  Every table
-grows on demand in time polynomial in n.
+build a fresh one per call from their exact argument vector.  The array
+grows each row fraction-free, as integer numerators over one row
+denominator (the content and primitive part of Knuth, TAOCP vol. 2,
+4.5.1), and makes one Fraction per entry.  Every table grows on demand in
+time polynomial in n.
 """
 
 from __future__ import annotations
@@ -118,33 +121,55 @@ def stirling1(n: int, k: int) -> int:
 # the exponential Riordan array [1, X]: partial Bell triangles
 # ---------------------------------------------------------------------------
 
+def _split(v) -> tuple:
+    """(numerator, denominator) of an exact Riordan argument: an int or a
+    Fraction splits into two integers, an XPoly stays whole over 1."""
+    return (v, 1) if isinstance(v, XPoly) else (v.numerator, v.denominator)
+
+
 def riordan_triangle(x: Callable[[int], object], size: int | None = None) -> GrowingTable:
     """Rows of the exponential Riordan array [1, X], X(z) = sum_{j>=1} x(j) z^j / j!.
 
     Row n holds n! [z^n] X(z)^k / k! = B_{n,k}(x(1), x(2), ...) for
     k = 0..n, grown by the column recurrence
-    B_{n,k} = sum_{i=1}^{n-k+1} binom(n-1, i-1) x(i) B_{n-i,k-1},
-    so the first N rows cost O(N^3) ring operations.  With `size` only
-    x(1)..x(size) exist; an entry that would need a later argument is None.
+    B_{n,k} = sum_{i=1}^{n-k+1} binom(n-1, i-1) x(i) B_{n-i,k-1}
+    on numerators over one row denominator D_n = lcm_i(d_i D_{n-i}), d_i the
+    denominator of x(i) (an XPoly argument is its own numerator over 1).
+    The first N rows cost O(N^3) integer (or XPoly) operations and O(N^2)
+    Fraction normalizations: entry k is its numerator times 1/D_n, an XPoly
+    if the numerator is one.  With `size` only x(1)..x(size) exist; an entry
+    that would need a later argument is None.
     """
+    args = []  # (numerator, denominator) of x(1), x(2), ...
+    dens = []  # the row denominators D_0, D_1, ...
+    cols = []  # cols[k]: numerators of B_{k,k}, B_{k+1,k}, ... over their D_n
 
     def next_row(rows):
         n = len(rows)
         if n == 0:
+            dens.append(1)
+            cols.append([1])
             return (Fraction(1),)
         known = n if size is None else min(n, size)
-        xs = [None] + [x(i) for i in range(1, known + 1)]
-        row = [Fraction(0)]
-        for k in range(1, n + 1):
-            if n - k + 1 > known:
-                row.append(None)
-                continue
-            acc = None
-            for i in range(1, n - k + 2):
-                term = math.comb(n - 1, i - 1) * xs[i] * rows[n - i][k - 1]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        return tuple(row)
+        while len(args) < known:
+            args.append(_split(x(len(args) + 1)))
+        den = math.lcm(*(d * dens[n - i] for i, (_, d) in enumerate(args[:known], 1)))
+        # weights[n - i] = binom(n-1, i-1) x(i) D_n / (d_i D_{n-i}), None past `known`,
+        # so column k-1 of rows k-1..n-1 meets weights[k-1:] in order
+        weights = [None] * (n - known) + [
+            math.comb(n - 1, i - 1) * (den // (args[i - 1][1] * dens[n - i])) * args[i - 1][0]
+            for i in range(known, 0, -1)
+        ]
+        nums = [0] + [
+            sum(map(operator.mul, cols[k - 1], weights[k - 1 :])) if n - k < known else None
+            for k in range(1, n + 1)
+        ]
+        cols.append([])
+        for col, v in zip(cols, nums):
+            col.append(v)
+        dens.append(den)
+        inv = Fraction(1, den)
+        return tuple(None if v is None else v * inv for v in nums)
 
     return GrowingTable(next_row)
 

@@ -279,22 +279,32 @@ def P_from_K(params: Params, n_max: int) -> PolyFamily:
     return PolyFamily(members, "p-from-k")
 
 
+def stirling2_weight(n: int, k: int, q) -> Fraction:
+    """Weight of K_k in the second-kind-Stirling expansion of P_n, p = 1 - q:
+    sum_{j=k}^{n} binom(j-1,k-1) q^(j-k)/p^j j! S(n,j) / k! for k >= 1, and
+    delta_{n,0} at k = 0, which the series power zeta^0 = 1 gives.  With
+    q = a/b and p = c/d, the sum times b^(n-k) c^n is one integer sum whose
+    summand j is binom(j-1,k-1) j! S(n,j) a^(j-k) b^(n-j) d^j c^(n-j), taken
+    as binom(j-1,k-1) j! S(n,j) (ad)^(j-k) (bc)^(n-j) with d^k factored out."""
+    if k == 0:
+        return int(n == 0)
+    q = as_fraction(q)
+    p = 1 - q
+    a, b, c, d = q.numerator, q.denominator, p.numerator, p.denominator
+    total = sum(
+        math.comb(j - 1, k - 1) * math.factorial(j) * stirling2(n, j)
+        * (a * d) ** (j - k) * (b * c) ** (n - j)
+        for j in range(k, n + 1)
+    )
+    return Fraction(total * d**k, b ** (n - k) * c**n * math.factorial(k))
+
+
 def P_from_K_stirling2(params: Params, n_max: int) -> PolyFamily:
-    """Second-kind-Stirling route:
-    P_n = sum_{k>=1} [sum_{j=k}^{n} binom(j-1,k-1) q^(j-k)/p^j j! S(n,j)] K_k / k!
-    plus the k = 0 term, which the series power zeta^0 = 1 makes delta_{n,0} K_0."""
-    q, p = params.q, params.p
-
-    def weight(n, k):
-        if k == 0:
-            return int(n == 0)
-        w = sum(
-            math.comb(j - 1, k - 1) * q ** (j - k) / p**j * math.factorial(j) * stirling2(n, j)
-            for j in range(k, n + 1)
-        )
-        return w / math.factorial(k)
-
-    members = _triangular_sums(weight, K_series(params, n_max).members)
+    """Second-kind-Stirling route: P_n = sum_k stirling2_weight(n, k) K_k, the
+    weights n! [z^n] zeta^k / k! written as sums of Stirling numbers S(n, j)."""
+    members = _triangular_sums(
+        lambda n, k: stirling2_weight(n, k, params.q), K_series(params, n_max).members
+    )
     return PolyFamily(members, "p-stirling2")
 
 

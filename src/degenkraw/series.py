@@ -78,6 +78,10 @@ class XPoly:
     def __setattr__(self, name, value):
         raise AttributeError("XPoly is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild from the stored form, not through __setattr__
+        return XPoly._of, (self._num, self._den)
+
     @property
     def coeffs(self) -> tuple:
         try:
@@ -274,6 +278,9 @@ class TSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("TSeries is immutable")
+
+    def __reduce__(self):
+        return TSeries, (self.coeffs, self.order)
 
     @classmethod
     def one(cls, order: int) -> "TSeries":

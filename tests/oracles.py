@@ -1,21 +1,22 @@
 """Reference forms the tests hold the library to.
 
 Each is an independent route to a value the package computes another way:
-the composition and partition sums behind the Riordan tables (their cost
-grows exponentially in n), the inverse series zeta of theta, series
-composition by Horner's rule, the classical Krawtchouk family as a
-product of two binomial series, and polynomials as plain lists of
-Fractions.  None of them is part of the library, and
-no module of ``degenkraw`` imports this one.
+the Riordan tables' column recurrence in Fraction arithmetic, the
+composition and partition sums behind those tables (their cost grows
+exponentially in n), the second-kind Stirling weights summed term by term,
+the inverse series zeta of theta, series composition by Horner's rule, the
+classical Krawtchouk family as a product of two binomial series, and
+polynomials as plain lists of Fractions.  None of them is part of the
+library, and no module of ``degenkraw`` imports this one.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from degenkraw.combinat import kappa
+from degenkraw.combinat import GrowingTable, kappa, stirling2
 from degenkraw.series import TSeries, XPoly, as_fraction, expm1_series, gen_binomial
 
 
@@ -92,6 +93,34 @@ def bell_partial_by_partitions(n: int, k: int, xs: Sequence):
     return Fraction(0) if total is None else total
 
 
+def riordan_by_fractions(x: Callable[[int], object], size: int | None = None) -> GrowingTable:
+    """Rows of the exponential Riordan array [1, X] by the column recurrence
+    B_{n,k} = sum_{i=1}^{n-k+1} binom(n-1, i-1) x(i) B_{n-i,k-1}, run in
+    Fraction (or XPoly) arithmetic term by term: the reference that
+    ``riordan_triangle``, grown as integer numerators over one row
+    denominator, is held to, rows, None entries and entry types alike."""
+
+    def next_row(rows):
+        n = len(rows)
+        if n == 0:
+            return (Fraction(1),)
+        known = n if size is None else min(n, size)
+        xs = [None] + [x(i) for i in range(1, known + 1)]
+        row = [Fraction(0)]
+        for k in range(1, n + 1):
+            if n - k + 1 > known:
+                row.append(None)
+                continue
+            acc = None
+            for i in range(1, n - k + 2):
+                term = math.comb(n - 1, i - 1) * xs[i] * rows[n - i][k - 1]
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        return tuple(row)
+
+    return GrowingTable(next_row)
+
+
 # ---------------------------------------------------------------------------
 # composition sums: the reference forms of varpi, varrho and rho
 # ---------------------------------------------------------------------------
@@ -152,6 +181,22 @@ def rho_by_compositions(m: int, k: int, q, r, variant: str = "corrected") -> Fra
     if variant == "corrected":
         return total * q**k * r**m
     return total * q**m
+
+
+def stirling2_weight_by_fractions(n: int, k: int, q) -> Fraction:
+    """sum_{j=k}^{n} binom(j-1,k-1) q^(j-k)/p^j j! S(n,j) / k!, p = 1 - q, summed
+    term by term in Fraction arithmetic, and delta_{n,0} at k = 0: the
+    reference that ``polys.stirling2_weight``, one integer sum per weight, is
+    held to."""
+    if k == 0:
+        return int(n == 0)
+    q = as_fraction(q)
+    p = 1 - q
+    w = sum(
+        math.comb(j - 1, k - 1) * q ** (j - k) / p**j * math.factorial(j) * stirling2(n, j)
+        for j in range(k, n + 1)
+    )
+    return w / math.factorial(k)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from degenkraw.combinat import (
     bell_partial,
@@ -17,12 +19,14 @@ from degenkraw.combinat import (
     faa_derivative,
     kappa,
     rho_scaling,
+    riordan_triangle,
     stirling1,
     stirling2,
     theta_series,
     theta_triangle,
     varpi,
     varrho,
+    zeta_triangle,
 )
 from degenkraw.series import TSeries, XPoly, log1p_scaled_series
 
@@ -34,6 +38,7 @@ from oracles import (
     exp_series,
     falling_factorial,
     rho_by_compositions,
+    riordan_by_fractions,
     varpi_by_compositions,
     varrho_by_compositions,
     zeta_series,
@@ -271,6 +276,78 @@ class TestBell:
                 assert derivs == faa_derivative(outer, inner, n + 3)[: n + 1]
                 want = sum(outer[k] * bell_partial(n, k, inner[1:]) for k in range(n + 1))
                 assert derivs[n] == want
+
+
+# ints with zeros and negatives, and Fractions over shared (1, 2, 6),
+# coprime (7, 3^40) and large (2^61 - 1, 10^18) denominators
+_DENOMINATORS = st.sampled_from([1, 2, 6, 7, 3**40, 2**61 - 1, 10**18])
+_SCALARS = st.one_of(
+    st.just(0),
+    st.integers(-30, 30),
+    st.builds(F, st.integers(-(10**20), 10**20), _DENOMINATORS),
+)
+_XPOLYS = st.builds(XPoly, st.lists(_SCALARS, max_size=3))
+_VECTORS = st.one_of(
+    st.lists(_SCALARS, max_size=8),
+    st.lists(_XPOLYS, max_size=8),
+    st.lists(st.one_of(_SCALARS, _XPOLYS), max_size=8),
+)
+
+
+def _same_rows(got, want, n_rows):
+    """The two tables agree row by row, None entries and entry types included."""
+    for n in range(n_rows):
+        assert got[n] == want[n]
+        assert [type(v) for v in got[n]] == [type(v) for v in want[n]]
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=120,
+    deadline=None,
+    phases=[Phase.explicit, Phase.generate],
+)
+@given(_VECTORS, st.booleans())
+def test_riordan_rows_hold_to_the_fraction_recurrence(xs, sized):
+    # the fraction-free rows against the same recurrence run in Fraction
+    # arithmetic: unsized over the whole vector, sized past its end, where
+    # the entries that need a missing argument are None
+    def x(j):
+        return xs[(j - 1) % len(xs)] if xs else 0
+
+    size = len(xs) if sized else None
+    _same_rows(riordan_triangle(x, size), riordan_by_fractions(x, size), len(xs) + 3)
+    # and the Bell triangle against the partition sums; a vector of one kind
+    # keeps its kind, a mixed one may not, since a zero term of the
+    # recurrence still carries its argument's type
+    rows = bell_triangle(xs)
+    one_kind = len({type(v) is XPoly for v in xs}) <= 1
+    for n in range(len(xs) + 1):
+        for k in range(1, n + 1):
+            want = bell_partial_by_partitions(n, k, xs)
+            assert rows[n][k] == want
+            assert type(rows[n][k]) is type(want) or not one_kind
+
+
+_LARGE_Q = st.builds(
+    lambda u, den: F(u % (den - 1) + 1, den),
+    st.integers(0, 2**70),
+    st.sampled_from([2**61 - 1, 3**40, 10**18, 7**30]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(_LARGE_Q, st.permutations(range(13)))
+def test_lazy_theta_and_zeta_rows_hold_to_the_fraction_recurrence(q, order):
+    # the cached tables grown on demand, read in any order, at q with large
+    # denominators, whose powers make every row denominator grow
+    for table, x in ((theta_triangle, eta), (zeta_triangle, kappa)):
+        want = riordan_by_fractions(lambda j: x(j, q))
+        rows = table(q)
+        for n in order:
+            assert rows[n] == want[n]
+            assert all(type(v) is F for v in rows[n])
 
 
 class TestDegFalling:

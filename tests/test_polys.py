@@ -1,9 +1,13 @@
 """Polynomial families: construction routes, identities, limits."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ALL_SETS
 from degenkraw.combinat import bracket_y, epsilon, eta, stirling1, theta_triangle
@@ -30,12 +34,13 @@ from degenkraw.polys import (
     family,
     monomial_from_K,
     mu_coeffs,
+    stirling2_weight,
     stirling_transition,
     xi_derivs,
     xi_series,
 )
 from degenkraw.series import TSeries, XPoly
-from oracles import classical_by_series
+from oracles import classical_by_series, stirling2_weight_by_fractions
 
 
 class TestCoefficientData:
@@ -246,6 +251,43 @@ class TestPFamily:
         fam_p = P_from_K_stirling2(params, n)
         diff = fam_p[n] - fam_k[n] / params.p**n
         assert diff.degree < n
+
+    def test_stirling2_weights_hold_to_the_fraction_sum(self, params):
+        # one integer sum per weight against the Fraction sum term by term
+        for n in range(25):
+            for k in range(n + 1):
+                got = stirling2_weight(n, k, params.q)
+                want = stirling2_weight_by_fractions(n, k, params.q)
+                assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize(
+        "copier",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_a_family_survives_pickling_and_copying(self, set_a, copier):
+        # so a family can be handed to a process pool or deep-copied
+        fam = K_series(set_a, 24)
+        got = copier(fam)
+        assert got == fam and hash(got) == hash(fam)
+        assert got.route == "series" and all(type(m) is XPoly for m in got.members)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    st.builds(
+        lambda u, den: F(u % (den - 1) + 1, den),
+        st.integers(0, 2**70),
+        st.sampled_from([2, 3, 10, 7**5, 3**40, 2**61 - 1]),
+    ),
+    st.integers(0, 20),
+    st.integers(0, 20),
+)
+def test_stirling2_weight_holds_at_any_q(q, n, k):
+    k = min(k, n)
+    got = stirling2_weight(n, k, q)
+    want = stirling2_weight_by_fractions(n, k, q)
+    assert got == want and type(got) is type(want)
 
 
 class TestBasisChanges:

@@ -1,6 +1,8 @@
 """Polynomial and truncated-series arithmetic."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -175,6 +177,28 @@ def test_xpoly_holds_to_the_fraction_list_reference(a, b, tail, cancel, s, d, k)
     assert (pa == pb) == (ra.coeffs == rb.coeffs)
     assert (pa == s) == (ra.coeffs == rs.coeffs)
     assert XPoly(list(a) + [0, 0]) == pa and hash(XPoly(list(a) + [0, 0])) == hash(pa)
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_values_survive_pickling_and_copying(copier):
+    # an immutable value is rebuilt from its stored form, never through the
+    # __setattr__ that refuses every write
+    values = [
+        XPoly((F(3, 4), 0, F(-5, 2**61 - 1))),
+        XPoly(),
+        TSeries([1, F(-1, 3), F(2, 7)], 4),
+        TSeries([XPoly((1, F(1, 2))), XPoly(), 3], 2),
+    ]
+    for value in values:
+        got = copier(value)
+        assert type(got) is type(value)
+        assert got == value and hash(got) == hash(value)
+        assert got.coeffs == value.coeffs
+    _assert_normal(copier(values[0]))
 
 
 class TestSeriesArithmetic:
