@@ -1,9 +1,10 @@
 """Exact arithmetic for the degenerate Pascal measure and its
 Krawtchouk-Appell polynomial families.
 
-Importing the package loads only the exact modules.  The names backed by
-mpmath (``measure``) or numpy (``sampling``) are imported on first access
-(PEP 562), so exact work never pays for the floating-point libraries.
+Importing the package loads only the exact modules the families need.  The
+names backed by mpmath (``measure``), numpy (``sampling``) or the chaos
+operators (``operators``, run by the audit) are imported on first access
+(PEP 562), so a family build loads no floating point and no ``dataclasses``.
 """
 
 from .combinat import (
@@ -31,14 +32,6 @@ from .config import (
     laplace_series,
     load_config,
 )
-from .operators import (
-    ChaosVector,
-    chaos_to_poly,
-    poly_to_chaos,
-    scale_expansion,
-    scale_substitution,
-    translate,
-)
 from .polys import (
     K_bell,
     K_epsilon,
@@ -65,10 +58,10 @@ __version__ = "0.1.0"
 
 # name -> submodule that defines it, imported on first access
 _LAZY = {
-    **dict.fromkeys(
-        ("measure", "MeasureModel", "classical_pmf", "deg_exp"), "measure"
-    ),
+    **dict.fromkeys(("measure", "MeasureModel", "classical_pmf", "deg_exp"), "measure"),
     **dict.fromkeys(("sampling", "sample", "tv_distance"), "sampling"),
+    **dict.fromkeys(("operators", "ChaosVector", "chaos_to_poly", "poly_to_chaos"), "operators"),
+    **dict.fromkeys(("scale_expansion", "scale_substitution", "translate"), "operators"),
 }
 
 

@@ -14,8 +14,9 @@ requested formula leaves its real domain, exit with code 2; a failing
 canonical audit entry exits with code 1.
 
 Each subcommand imports what it runs inside its ``cmd_*`` function, so
-``polys`` loads neither mpmath, numpy nor the audit, and only ``sample``
-loads numpy.
+``polys`` loads only the exact modules: no mpmath, numpy or audit, no
+chaos operators (``degenkraw.operators``) and no ``dataclasses``.  Only
+``sample`` loads numpy.
 """
 
 from __future__ import annotations

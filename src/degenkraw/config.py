@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .combinat import _TABLES
-from .series import TSeries, as_fraction, expm1_series
+from .series import FrozenValue, TSeries, as_fraction, expm1_series
 
 
 class ConfigError(ValueError):
@@ -44,8 +43,7 @@ PROPERTIES = ("p1", "p2", "p3", "p4", "cross", "normalization", "limit", "scalin
 VARIANT_PROPERTIES = ("p3", "scaling")
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(FrozenValue):
     """Model parameters; all exact rationals.
 
     Invariants: lam < 0, beta > 0, 0 < p < 1, r > 0; q = 1 - p is
@@ -53,20 +51,10 @@ class Params:
     log p are both negative).
     """
 
-    lam: Fraction
-    beta: Fraction
-    p: Fraction
-    r: Fraction
+    _fields = ("lam", "beta", "p", "r")
 
-    @classmethod
-    def make(cls, lam, beta, p, r) -> "Params":
-        return cls(*map(as_fraction, (lam, beta, p, r)))
-
-    @cached_property
-    def q(self) -> Fraction:
-        return 1 - self.p
-
-    def __post_init__(self):
+    def __init__(self, lam: Fraction, beta: Fraction, p: Fraction, r: Fraction):
+        super().__init__(lam, beta, p, r)
         if not self.lam < 0:
             raise ValueError("lambda must be negative")
         if not self.beta > 0:
@@ -75,6 +63,14 @@ class Params:
             raise ValueError("p must lie in (0, 1)")
         if not self.r > 0:
             raise ValueError("r must be positive")
+
+    @classmethod
+    def make(cls, lam, beta, p, r) -> "Params":
+        return cls(*map(as_fraction, (lam, beta, p, r)))
+
+    @cached_property
+    def q(self) -> Fraction:
+        return 1 - self.p
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +122,16 @@ _KNOWN_KEYS = {*_DEFAULTS, "series_order"}
 _INT_KEYS = ("n_max", "series_order", "precision_digits", "seed")  # named as Config's fields
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(FrozenValue):
     """A run's settings; ``config_from_dict`` fills every field, its defaults
-    from ``_DEFAULTS``."""
+    from ``_DEFAULTS``.  A series_order of None becomes max(16, n_max + 2)."""
 
-    params: Params
-    n_max: int
-    series_order: int | None  # None: max(16, n_max + 2)
-    precision_digits: int
-    seed: int
-    output_format: str
+    _fields = ("params", "n_max", "series_order", "precision_digits", "seed", "output_format")
 
-    def __post_init__(self):
-        if self.series_order is None:
-            object.__setattr__(self, "series_order", max(16, self.n_max + 2))
+    def __init__(self, params, n_max, series_order, precision_digits, seed, output_format):
+        if series_order is None:
+            series_order = max(16, n_max + 2)
+        super().__init__(params, n_max, series_order, precision_digits, seed, output_format)
         if self.series_order < self.n_max + 2:
             raise ConfigError("series_order must be at least n_max + 2")
         if self.precision_digits < 40:

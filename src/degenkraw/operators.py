@@ -12,20 +12,21 @@ held to exact agreement with plain substitution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import binomial_sum, bracket_y, deg_falling, rho_scaling
 from .config import Params
 from .polys import K_series, P_series
-from .series import XPoly, as_fraction
+from .series import FrozenValue, XPoly, as_fraction
 
 
-@dataclass(frozen=True)
-class ChaosVector:
+class ChaosVector(FrozenValue):
     """Coefficients phi_n of phi(x) = sum_n phi_n K_n(x); trailing zeros trimmed."""
 
-    coeffs: tuple[Fraction, ...]
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        super().__init__(coeffs)
 
     @classmethod
     def make(cls, values) -> "ChaosVector":

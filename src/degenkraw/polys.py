@@ -26,25 +26,24 @@ the audit reports; they are not expected to match.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import (
+    _C1_ROWS,
     _TABLES,
     binomial_sum,
     bracket_y,
     classical_rows,
     deg_falling,
     faa_derivative,
-    stirling1,
     stirling2,
     theta_series,
     theta_triangle,
     zeta_triangle,
 )
 from .config import Params, deg_exp_series, exact_moments, laplace_series
-from .series import TSeries, XPoly, as_fraction, log1p_scaled_series
+from .series import FrozenValue, TSeries, XPoly, as_fraction, log1p_scaled_series
 
 K_ROUTES = (
     "series",
@@ -58,14 +57,13 @@ K_ROUTES = (
 P_ROUTES = ("p-series", "p-bell", "p-from-k", "p-stirling2")
 
 
-@dataclass(frozen=True)
-class PolyFamily:
+class PolyFamily(FrozenValue):
     """A finite Appell-style family: members[n] has degree n, members[0] == 1."""
 
-    members: tuple[XPoly, ...]
-    route: str
+    _fields = ("members", "route")
 
-    def __post_init__(self):
+    def __init__(self, members: tuple[XPoly, ...], route: str):
+        super().__init__(members, route)
         if not self.route.endswith("literal"):
             if self.members[:1] != (1,):  # an empty family has no member 0
                 raise ValueError(f"route {self.route}: member 0 must be 1")
@@ -112,16 +110,16 @@ def c_coeffs(n_max: int, params: Params) -> list[Fraction]:
 
     c_0 = 1 and c_n = -sum_{i=1}^{n} binom(n,i) r^{-i} mu_i c_{n-i};
     equivalently n! r^{-n} times the n-th coefficient of the reciprocal
-    series (the dual route checked by the tests).
+    series (the dual route checked by the tests).  Fraction-free: c_n = C_n / D^n,
+    C_n = -sum_i binom(n,i) w_i C_{n-i} with integers w_i = D^i r^{-i} mu_i.
     """
-    mu = mu_coeffs(n_max, params)
-    c = [Fraction(1)]
+    scaled = [params.r**-i * m for i, m in enumerate(mu_coeffs(n_max, params))]
+    den = math.lcm(*(s.denominator for s in scaled))
+    w = [s.numerator * den**i // s.denominator for i, s in enumerate(scaled)]
+    C = [1]
     for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for i in range(1, n + 1):
-            acc += math.comb(n, i) * params.r**-i * mu[i] * c[n - i]
-        c.append(-acc)
-    return c
+        C.append(-sum(math.comb(n, i) * w[i] * C[n - i] for i in range(1, n + 1)))
+    return [Fraction(c, den**n) for n, c in enumerate(C)]
 
 
 def _triangular_sums(weight, basis) -> tuple[XPoly, ...]:
@@ -209,18 +207,20 @@ def stirling_transition(n: int, k: int, q, upper: str = "plus") -> Fraction:
     supports of the Stirling numbers): since theta = log(1+t) - log(1+qt),
     it is the binomial convolution of the Stirling columns of the two logs
     and equals n! [z^n] theta^k / k!.  upper="minus" runs it to n-k-j, the
-    alternate printed bound kept for the audit.  The integer terms are
-    summed per power of q, and the polynomial in q is evaluated once.
+    alternate printed bound kept for the audit.  Each term is (-1)^(n-j)
+    c(m,j) c(n-m,k-j) over the unsigned rows c(m, .), read once per call; the
+    integer terms are summed per power of q, and evaluated once in q.
     """
     if upper not in ("plus", "minus"):
         raise ValueError(f"unknown bound variant {upper!r}")
     q = as_fraction(q)
+    rows = [_C1_ROWS[m] for m in range(n + 1)]
     by_power = [0] * (n + 1)  # by_power[e]: integer coefficient of q^e, e = n - m
     for j in range(k + 1):
         hi = n - k + j if upper == "plus" else n - k - j
-        sign = -1 if (k - j) % 2 else 1
+        sign = -1 if (n - j) % 2 else 1
         for m in range(j, hi + 1):
-            by_power[n - m] += sign * math.comb(n, m) * stirling1(m, j) * stirling1(n - m, k - j)
+            by_power[n - m] += sign * math.comb(n, m) * rows[m][j] * rows[n - m][k - j]
     num, den = q.numerator, q.denominator
     return Fraction(sum(c * num**e * den ** (n - e) for e, c in enumerate(by_power)), den**n)
 

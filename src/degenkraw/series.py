@@ -36,6 +36,36 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+class FrozenValue:
+    """Base of the immutable records, a frozen dataclass without ``dataclasses``:
+    ``==``, ``hash`` and ``repr`` read the fields named in ``_fields``, in order,
+    and no attribute can be assigned.  Pickle and copy restore ``__dict__``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Each is an independent route to a value the package computes another way:
 the Riordan tables' column recurrence in Fraction arithmetic, the
 composition and partition sums behind those tables (their cost grows
-exponentially in n), the second-kind Stirling weights summed term by term,
+exponentially in n), the reciprocal-denominator coefficients c_n in
+Fraction arithmetic, the first-kind double Stirling sum one Stirling
+number at a time, the second-kind Stirling weights summed term by term,
 the inverse series zeta of theta, series composition by Horner's rule, the
 classical Krawtchouk family as a product of two binomial series, and
 polynomials as plain lists of Fractions.  None of them is part of the
@@ -16,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from degenkraw.combinat import GrowingTable, kappa, stirling2
+from degenkraw.combinat import GrowingTable, kappa, stirling1, stirling2
 from degenkraw.series import TSeries, XPoly, as_fraction, expm1_series, gen_binomial
 
 
@@ -181,6 +183,36 @@ def rho_by_compositions(m: int, k: int, q, r, variant: str = "corrected") -> Fra
     if variant == "corrected":
         return total * q**k * r**m
     return total * q**m
+
+
+def c_coeffs_by_fractions(mu: Sequence, r) -> list[Fraction]:
+    """c_0 = 1 and c_n = -sum_{i=1}^{n} binom(n,i) r^{-i} mu_i c_{n-i} for n
+    < len(mu), one Fraction product per term: the reference that the
+    fraction-free ``polys.c_coeffs`` is held to."""
+    c = [Fraction(1)]
+    for n in range(1, len(mu)):
+        acc = Fraction(0)
+        for i in range(1, n + 1):
+            acc += math.comb(n, i) * as_fraction(r) ** -i * mu[i] * c[n - i]
+        c.append(-acc)
+    return c
+
+
+def stirling_transition_by_calls(n: int, k: int, q, upper: str = "plus") -> Fraction:
+    """sum_j (-1)^(k-j) sum_m binom(n,m) s(m,j) s(n-m,k-j) q^(n-m), one signed
+    ``stirling1`` call per factor, with the integer terms summed per power of q:
+    the reference that ``polys.stirling_transition``, which reads each
+    unsigned row once, is held to.  upper="plus" runs the inner sum to
+    n-k+j, upper="minus" to n-k-j."""
+    q = as_fraction(q)
+    by_power = [0] * (n + 1)  # by_power[e]: integer coefficient of q^e, e = n - m
+    for j in range(k + 1):
+        hi = n - k + j if upper == "plus" else n - k - j
+        sign = -1 if (k - j) % 2 else 1
+        for m in range(j, hi + 1):
+            by_power[n - m] += sign * math.comb(n, m) * stirling1(m, j) * stirling1(n - m, k - j)
+    num, den = q.numerator, q.denominator
+    return Fraction(sum(c * num**e * den ** (n - e) for e, c in enumerate(by_power)), den**n)
 
 
 def stirling2_weight_by_fractions(n: int, k: int, q) -> Fraction:

@@ -500,7 +500,10 @@ import contextlib, io, json, sys
 from degenkraw.cli import main
 from degenkraw.polys import K_ROUTES, P_ROUTES
 
-heavy = ("mpmath", "numpy", "sympy", "degenkraw.audit")
+heavy = (
+    "mpmath", "numpy", "sympy", "degenkraw.audit", "dataclasses", "inspect",
+    "degenkraw.operators",
+)
 loaded = {"import": [m for m in heavy if m in sys.modules]}
 with contextlib.redirect_stdout(io.StringIO()):
     for route in K_ROUTES + P_ROUTES + ("classical",):
@@ -510,7 +513,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     loaded["moments"] = [m for m in heavy if m in sys.modules]
 
 import degenkraw
-loaded["lazy"] = [degenkraw.sample.__module__, degenkraw.MeasureModel.__module__]
+loaded["lazy"] = [
+    degenkraw.sample.__module__, degenkraw.MeasureModel.__module__, degenkraw.translate.__module__
+]
 loaded["all"] = sorted(degenkraw.__all__)
 print(json.dumps(loaded))
 """
@@ -529,7 +534,7 @@ class TestStartupImports:
         assert loaded["import"] == []
         assert loaded["polys"] == []
         assert "numpy" not in loaded["moments"]
-        assert loaded["lazy"] == ["degenkraw.sampling", "degenkraw.measure"]
+        assert loaded["lazy"] == ["degenkraw.sampling", "degenkraw.measure", "degenkraw.operators"]
         assert loaded["all"] == PUBLIC_NAMES
 
     @pytest.mark.parametrize(

@@ -91,8 +91,12 @@ def seed_bell(monkeypatch):
 
 
 def seed_stirling1(monkeypatch):
-    # s(3, 2) wrong in the double Stirling sum
-    monkeypatch.setattr(polys, "stirling1", off_by_one_at(polys.stirling1, (3, 2)))
+    # c(3, 2) wrong in the double Stirling sum, which reads whole unsigned
+    # rows of the first-kind table
+    rows = polys._C1_ROWS
+    monkeypatch.setattr(polys, "_C1_ROWS", combinat.GrowingTable(
+        lambda done: tuple(c + ((len(done), k) == (3, 2)) for k, c in enumerate(rows[len(done)]))
+    ))
 
 
 def seed_stirling2(monkeypatch):

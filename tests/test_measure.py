@@ -1,6 +1,5 @@
 """Measure-side checks: pmf variants, Laplace transform, moments, mixture."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -141,9 +140,11 @@ class TestParams:
 
     def test_q_is_derived(self):
         # q is no field, so no Params can hold a q other than 1 - p
-        assert [f.name for f in dataclasses.fields(Params)] == ["lam", "beta", "p", "r"]
+        assert list(Params._fields) == ["lam", "beta", "p", "r"]
         for p in ("3/5", "1/7", "999/1000"):
             assert Params.make(-1, 1, p, 1).q == 1 - F(p)
+        with pytest.raises(TypeError):
+            Params(F(-1), F(1), F(3, 5), F(1), q=F(2, 5))
 
 
 class TestDegExp:

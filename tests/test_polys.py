@@ -40,7 +40,12 @@ from degenkraw.polys import (
     xi_series,
 )
 from degenkraw.series import TSeries, XPoly
-from oracles import classical_by_series, stirling2_weight_by_fractions
+from oracles import (
+    c_coeffs_by_fractions,
+    classical_by_series,
+    stirling2_weight_by_fractions,
+    stirling_transition_by_calls,
+)
 
 
 class TestCoefficientData:
@@ -85,6 +90,16 @@ class TestCoefficientData:
             math.factorial(n) * params.r**-n * recip.coeff(n) for n in range(order + 1)
         ]
         assert c_coeffs(order, params) == series_route
+
+    def test_c_holds_to_the_fraction_recurrence(self, params):
+        # integer numerators over powers of one denominator against the
+        # recurrence in Fraction arithmetic, also at a point whose lam, beta,
+        # p and r have coprime denominators
+        for point in (params, Params.make("-7/3", "5/11", "1/13", "9/4")):
+            for n_max in (0, 1, 24):
+                got = c_coeffs(n_max, point)
+                want = c_coeffs_by_fractions(mu_coeffs(n_max, point), point.r)
+                assert got == want and all(type(c) is F for c in got), n_max
 
     def test_mu_reads_one_bell_triangle(self, set_a, monkeypatch):
         # every mu_k through the order comes from one composition-derivative
@@ -439,6 +454,16 @@ class TestStirlingTransition:
                 assert stirling_transition(n, k, params.q, upper) == _stirling_transition_by_terms(
                     n, k, params.q, upper
                 ), (n, k)
+
+    @pytest.mark.parametrize("upper", ["plus", "minus"])
+    def test_row_reads_hold_to_the_stirling1_calls(self, params, upper):
+        # the unsigned rows, read once per call with one folded sign, against
+        # one signed stirling1 call per factor
+        for n in range(25):
+            for k in range(n + 1):
+                got = stirling_transition(n, k, params.q, upper)
+                want = stirling_transition_by_calls(n, k, params.q, upper)
+                assert got == want and type(got) is type(want), (n, k)
 
     def test_literal_bound_diverges(self, set_a):
         assert stirling_transition(1, 1, set_a.q, "minus") != stirling_transition(
