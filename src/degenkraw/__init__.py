@@ -8,7 +8,6 @@ operators (``operators``, run by the audit) are imported on first access
 """
 
 from .combinat import (
-    bell_partial,
     bracket_y,
     deg_falling,
     epsilon,
@@ -19,8 +18,6 @@ from .combinat import (
     rho_scaling,
     stirling1,
     stirling2,
-    varpi,
-    varrho,
 )
 from .config import (
     Config,
@@ -58,8 +55,8 @@ __version__ = "0.1.0"
 
 # name -> submodule that defines it, imported on first access
 _LAZY = {
-    **dict.fromkeys(("measure", "MeasureModel", "classical_pmf", "deg_exp"), "measure"),
-    **dict.fromkeys(("sampling", "sample", "tv_distance"), "sampling"),
+    **dict.fromkeys(("measure", "MeasureModel"), "measure"),
+    **dict.fromkeys(("sampling", "sample"), "sampling"),
     **dict.fromkeys(("operators", "ChaosVector", "chaos_to_poly", "poly_to_chaos"), "operators"),
     **dict.fromkeys(("scale_expansion", "scale_substitution", "translate"), "operators"),
 }

@@ -20,10 +20,10 @@ either evaluates audit checks or is one of the checks only ``verify`` runs
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
 
 from mpmath import MPContext
 

@@ -1,25 +1,25 @@
 """Exact combinatorial kernels.
 
-Stirling numbers of both kinds, partial Bell polynomials, degenerate
+Stirling numbers of both kinds, partial Bell triangles, degenerate
 falling factorials, and the named coefficient families that drive the
 polynomial identities: eta (log-quotient Taylor numbers), kappa (its
 inverse series), epsilon (coefficients of ((1+t)/(1+qt))^x) and the
-bracket factorials [y]_n, varpi / varrho (the weights of the two basis
-changes), and the two variants of the scaling weights rho.  epsilon and
-the bracket factorials are one table per q, the associated sequence of
-theta ([x]_n = n! epsilon_n(x)) and the classical Krawtchouk family at
-r = 0, grown by its three-term recurrence (``classical_rows``).
+bracket factorials [y]_n, the triangles of theta and zeta (the weights of
+the two basis changes), and the two variants of the scaling weights rho.
+epsilon and the bracket factorials are one table per q, the associated
+sequence of theta ([x]_n = n! epsilon_n(x)) and the classical Krawtchouk
+family at r = 0, grown by its three-term recurrence (``classical_rows``).
 
 The canonical definition of every coefficient family is its generating
 series.  One core computes them: the exponential Riordan array [1, X] of a
 series X(z) = sum_j x_j z^j / j!, whose entry (n, k) is n! [z^n] X^k / k!,
-the partial Bell polynomial B_{n,k}(x_1, x_2, ...).  varpi and varrho read
-it for X = theta and zeta, one table per q; bell_partial and faa_derivative
-build a fresh one per call from their exact argument vector.  The array
-grows each row fraction-free, as integer numerators over one row
-denominator (the content and primitive part of Knuth, TAOCP vol. 2,
-4.5.1), and makes one Fraction per entry.  Every table grows on demand in
-time polynomial in n.
+the partial Bell polynomial B_{n,k}(x_1, x_2, ...).  ``theta_triangle`` and
+``zeta_triangle`` are that array for X = theta and zeta, one table per q;
+``bell_triangle`` (read by faa_derivative) builds a fresh one per call from
+its exact argument vector.  The array grows each row fraction-free, as
+integer numerators over one row denominator (the content and primitive
+part of Knuth, TAOCP vol. 2, 4.5.1), and makes one Fraction per entry.
+Every table grows on demand in time polynomial in n.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
 
 from .series import TSeries, XPoly, as_fraction, gen_binomial, log1p_scaled_series
 
@@ -184,18 +184,6 @@ def bell_triangle(xs: Sequence) -> GrowingTable:
     if not all(isinstance(v, (int, Fraction, XPoly)) for v in xs):
         raise TypeError("Bell triangles take exact arguments: ints, Fractions or XPoly values")
     return riordan_triangle(lambda j: xs[j - 1], len(xs))
-
-
-def bell_partial(n: int, k: int, xs: Sequence):
-    """Partial Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}) of exact
-    arguments, read from the triangle of `xs` (see ``bell_triangle``)."""
-    if not 0 <= k <= n:
-        raise ValueError("bell_partial requires 0 <= k <= n")
-    if k == 0:
-        return Fraction(1) if n == 0 else Fraction(0)
-    if len(xs) < n - k + 1:
-        raise ValueError(f"bell_partial needs {n - k + 1} arguments, got {len(xs)}")
-    return bell_triangle(xs)[n][k]
 
 
 def faa_derivative(outer_derivs: Sequence, inner_derivs: Sequence, n_max: int) -> list:
@@ -365,28 +353,6 @@ def zeta_triangle(q: Fraction) -> GrowingTable:
     """Exponential Riordan array [1, zeta]: row n holds n! [z^n] zeta^k / k!
     = B_{n,k}(kappa_1, kappa_2, ...) for k = 0..n."""
     return riordan_triangle(lambda j: kappa(j, q))
-
-
-def varpi(m: int, n: int, q) -> Fraction:
-    """Basis-change weight from the Appell companions to the main family.
-
-    varpi(m, n) = n! [z^n] theta(z)^m, read from ``theta_triangle``;
-    varpi(0,0) = 1 and varpi(0,n) = 0 for n >= 1.
-    """
-    if m < 0 or n < 0 or m > n:
-        raise ValueError("varpi requires 0 <= m <= n")
-    return math.factorial(m) * theta_triangle(as_fraction(q))[n][m]
-
-
-def varrho(m: int, k: int, q) -> Fraction:
-    """Basis-change weight from the main family back to the companions.
-
-    varrho(m, k) = k! [z^k] zeta(z)^m, read from ``zeta_triangle``;
-    varrho(0,0) = 1 and varrho(0,k) = 0 for k >= 1.
-    """
-    if m < 0 or k < 0 or m > k:
-        raise ValueError("varrho requires 0 <= m <= k")
-    return math.factorial(m) * zeta_triangle(as_fraction(q))[k][m]
 
 
 def rho_scaling(m: int, k: int, q, r, variant: str = "corrected") -> Fraction:

@@ -52,7 +52,6 @@ from .combinat import _C1_ROWS, _TABLES, GrowingTable, _next_c1_row, deg_falling
 # the exact side of the model and DomainError live in config, free of mpmath;
 # re-exported here
 from .config import DomainError, Params, deg_exp_series, exact_moments, laplace_series
-from .series import as_fraction, gen_binomial
 
 DEFAULT_DIGITS = 60
 _GUARD_DIGITS = 15
@@ -77,19 +76,6 @@ def _context(digits=None, *, prec=None):
 def _nstr(num: MPContext, x, digits: int = 20) -> str:
     """x rounded to the precision of the context num, then printed to `digits` digits."""
     return num.nstr(num.mpf(x), digits, strip_zeros=False)
-
-
-# ---------------------------------------------------------------------------
-# degenerate exponential
-# ---------------------------------------------------------------------------
-
-def deg_exp(z, params: Params, digits: int = DEFAULT_DIGITS):
-    """(1 + lam*z)^(beta/lam) for a real argument; requires 1 + lam*z > 0."""
-    num = _context(digits + _GUARD_DIGITS)
-    base = 1 + num.convert(params.lam) * num.convert(z)
-    if base <= 0:
-        raise DomainError("degenerate exponential undefined: 1 + lambda*z <= 0")
-    return num.power(base, num.convert(params.beta / params.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -183,26 +169,6 @@ def _sum_term(man, exp, x, limit):
 
 
 # ---------------------------------------------------------------------------
-# classical Pascal pmf
-# ---------------------------------------------------------------------------
-
-def classical_pmf(n: int, p, r, digits: int = DEFAULT_DIGITS):
-    """Pascal (negative binomial) mass p^r binom(-r, n) (-q)^n.
-
-    Exact Fraction when r is a positive integer, mpf otherwise.
-    """
-    if n < 0:
-        raise ValueError("support is the nonnegative integers")
-    p, r = as_fraction(p), as_fraction(r)
-    q = 1 - p
-    combinatorial = gen_binomial(-r, n) * (-q) ** n
-    if r.denominator == 1:
-        return p**r.numerator * combinatorial
-    num = _context(digits + _GUARD_DIGITS)
-    return num.power(num.convert(p), num.convert(r)) * num.convert(combinatorial)
-
-
-# ---------------------------------------------------------------------------
 # the measure model
 # ---------------------------------------------------------------------------
 
@@ -259,8 +225,13 @@ class MeasureModel:
         return done[-1] * (num.convert(p.r) * num.convert(p.beta - j * p.lam) / self._a)
 
     def _deg_exp(self, z):
-        """``deg_exp(z)`` at the model's precision, in the model's context."""
-        return self._num.convert(deg_exp(z, self.params, self.precision))
+        """The degenerate exponential (1 + lam*z)^(beta/lam) of a real z, in the
+        model's context; requires 1 + lam*z > 0."""
+        p, num = self.params, self._num
+        base = 1 + num.convert(p.lam) * num.convert(z)
+        if base <= 0:
+            raise DomainError("degenerate exponential undefined: 1 + lambda*z <= 0")
+        return num.power(base, num.convert(p.beta / p.lam))
 
     def _phi_weights(self, jmax: int) -> list:
         """w_j = r^j (beta)_{j,lam} a^(beta/lam - j) for j = 0..jmax."""
@@ -430,12 +401,7 @@ class MeasureModel:
             )
         return num.power(self._a, expo) * acc
 
-    # -- Laplace transform ----------------------------------------------------
-
-    def laplace(self, z):
-        """Numeric Laplace transform (1 + lam*r*log(p/(1-q e^z)))^(beta/lam), the
-        generating function at e^z; real z with q e^z < 1."""
-        return self.pgf(self._num.e ** self._num.convert(z))
+    # -- exact moments ---------------------------------------------------------
 
     def moment_exact(self, m: int) -> Fraction:
         """m-th moment as an exact rational: m! times the Laplace series coefficient."""
@@ -522,12 +488,9 @@ class MeasureModel:
             total += results[-1]
         return +num.convert(total)
 
-    def gamma_laplace(self, x):
-        """Numeric integral of e^{-s x} against the mixing density."""
-        return self.gamma_laplaces([x])[0]
-
     def gamma_laplaces(self, xs) -> list:
-        """``gamma_laplace`` at each x of ``xs``, sharing the node densities.
+        """Numeric integral of e^{-s x} against the mixing density at each x of
+        ``xs``, sharing the node densities.
 
         The transform (1 - lam*x)^(beta/lam) diverges unless 1 - lam*x > 0."""
         num, quad = self._num, self._quad
@@ -589,10 +552,6 @@ class MeasureModel:
             return self._integrate(pascal)
 
         return [mass(n) for n in ns]
-
-    def mixture_pmf(self, n: int):
-        """Canonical mass at n by quadrature; see ``mixture_pmfs``."""
-        return self.mixture_pmfs([n])[0]
 
     # -- joint normalized-exponential functional -------------------------------
 

@@ -174,7 +174,8 @@ def K_epsilon(params: Params, n_max: int) -> PolyFamily:
 
 def K_from_P(params: Params, n_max: int) -> PolyFamily:
     """Basis change from the Appell companions: K_n = sum_m T(n,m) P_m, with
-    T(n,m) = n! [z^n] theta^m / m! = varpi(m,n)/m! read from ``theta_triangle``."""
+    T(n,m) = n! [z^n] theta^m / m! (the paper's varpi(m,n)/m!), read from
+    ``theta_triangle``."""
     rows = theta_triangle(params.q)
     members = _triangular_sums(lambda n, m: rows[n][m], P_series(params, n_max).members)
     return PolyFamily(members, "from-p")
@@ -273,7 +274,8 @@ def P_bell(params: Params, n_max: int) -> PolyFamily:
 
 def P_from_K(params: Params, n_max: int) -> PolyFamily:
     """Inverse basis change: P_n = sum_m Z(n,m) K_m, with
-    Z(n,m) = n! [z^n] zeta^m / m! = varrho(m,n)/m! read from ``zeta_triangle``."""
+    Z(n,m) = n! [z^n] zeta^m / m! (the paper's varrho(m,n)/m!), read from
+    ``zeta_triangle``."""
     rows = zeta_triangle(params.q)
     members = _triangular_sums(lambda n, m: rows[n][m], K_series(params, n_max).members)
     return PolyFamily(members, "p-from-k")

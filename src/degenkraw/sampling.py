@@ -43,21 +43,14 @@ def histogram(draws: np.ndarray) -> dict[int, int]:
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
-def tv_distance(draws: np.ndarray, model: MeasureModel) -> float:
-    """Total-variation distance between the empirical law and the exact pmf.
-
-    Computed over {0 .. max draw}; the pmf mass beyond that range enters
-    as leftover probability, so the result is the exact TV of the
-    empirical measure against the truncation-free law up to the model's
-    tail tolerance.
-    """
-    counts = histogram(draws)
-    pmfs = [float(model.pmf(n)) for n in range(max(counts) + 1)]
-    return _tv_from_counts(counts, sum(counts.values()), pmfs)
-
-
 def _tv_from_counts(counts: dict[int, int], total: int, pmfs: list[float]) -> float:
-    """``tv_distance`` from the counts of ``total`` draws and the pmf at 0 .. max draw."""
+    """Total-variation distance between the empirical law of ``total`` draws,
+    given by their ``counts``, and the pmf at 0 .. max draw.
+
+    The pmf mass beyond that range enters as leftover probability, so the
+    result is the exact TV of the empirical measure against the
+    truncation-free law up to the model's tail tolerance.
+    """
     acc = 0.0
     pmf_mass = 0.0
     for n, pn in enumerate(pmfs):

@@ -17,8 +17,8 @@ coefficient with no tolerance.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 
 class NonInvertibleSeries(ArithmeticError):

@@ -7,9 +7,11 @@ exponentially in n), the reciprocal-denominator coefficients c_n in
 Fraction arithmetic, the first-kind double Stirling sum one Stirling
 number at a time, the second-kind Stirling weights summed term by term,
 the inverse series zeta of theta, series composition by Horner's rule, the
-classical Krawtchouk family as a product of two binomial series, and
-polynomials as plain lists of Fractions.  None of them is part of the
-library, and no module of ``degenkraw`` imports this one.
+classical Krawtchouk family as a product of two binomial series,
+polynomials as plain lists of Fractions, the classical Pascal mass, the
+degenerate exponential in a context of its own, and the total-variation
+distance of a sample from a histogram by ``numpy.bincount``.  None of them
+is part of the library, and no module of ``degenkraw`` imports this one.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def _bell_multiplicities(n: int, k: int) -> Iterator[tuple[tuple[int, int], ...]
 
 def bell_partial_by_partitions(n: int, k: int, xs: Sequence):
     """B_{n,k}(x_1, ..., x_{n-k+1}) summed over integer partitions, the
-    reference form the tests hold ``bell_partial`` to.
+    reference form the tests hold ``bell_triangle`` to.
 
     Sum over nonnegative multiplicities (i_1, ..., i_{n-k+1}) with
     sum i_j = k and sum j*i_j = n of
@@ -129,7 +131,8 @@ def riordan_by_fractions(x: Callable[[int], object], size: int | None = None) ->
 
 def varpi_by_compositions(m: int, n: int, q) -> Fraction:
     """sum over compositions i_1+...+i_m = n of
-    (-1)^{n+m} n! prod (1 - q^{i_j}) / i_j; the reference form of ``varpi``."""
+    (-1)^{n+m} n! prod (1 - q^{i_j}) / i_j; the reference form of
+    varpi(m, n) = m! ``theta_triangle(q)[n][m]``."""
     if m < 0 or n < 0 or m > n:
         raise ValueError("varpi requires 0 <= m <= n")
     q = as_fraction(q)
@@ -147,7 +150,8 @@ def varpi_by_compositions(m: int, n: int, q) -> Fraction:
 
 def varrho_by_compositions(m: int, k: int, q) -> Fraction:
     """sum over compositions i_1+...+i_m = k of
-    k!/(i_1!...i_m!) prod kappa_{i_j}; the reference form of ``varrho``."""
+    k!/(i_1!...i_m!) prod kappa_{i_j}; the reference form of
+    varrho(m, k) = m! ``zeta_triangle(q)[k][m]``."""
     if m < 0 or k < 0 or m > k:
         raise ValueError("varrho requires 0 <= m <= k")
     q = as_fraction(q)
@@ -338,3 +342,50 @@ def classical_by_series(p, r, n_max: int) -> tuple:
     a = TSeries([gen_binomial(x, n) for n in range(n_max + 1)], n_max)
     b = TSeries([gen_binomial(-x - r, n) * q**n for n in range(n_max + 1)], n_max)
     return tuple((a * b).derivative_list())
+
+
+# ---------------------------------------------------------------------------
+# the measure
+# ---------------------------------------------------------------------------
+
+def classical_pmf(n: int, p, r, digits: int = 60):
+    """Pascal (negative binomial) mass p^r binom(-r, n) (-q)^n, the beta = 1,
+    lam -> 0 limit of the canonical pmf.
+
+    Exact Fraction when r is a positive integer, mpf otherwise.
+    """
+    from degenkraw.measure import _GUARD_DIGITS, _context
+
+    if n < 0:
+        raise ValueError("support is the nonnegative integers")
+    p, r = as_fraction(p), as_fraction(r)
+    q = 1 - p
+    combinatorial = gen_binomial(-r, n) * (-q) ** n
+    if r.denominator == 1:
+        return p**r.numerator * combinatorial
+    num = _context(digits + _GUARD_DIGITS)
+    return num.power(num.convert(p), num.convert(r)) * num.convert(combinatorial)
+
+
+def deg_exp_by_fresh_context(z, params, digits: int = 60):
+    """(1 + lam*z)^(beta/lam) in a context built for the call at ``digits``
+    plus the guard digits, the precision of a model at ``digits``: the
+    reference ``MeasureModel._deg_exp`` is held to bit for bit."""
+    from degenkraw.config import DomainError
+    from degenkraw.measure import _GUARD_DIGITS, _context
+
+    num = _context(digits + _GUARD_DIGITS)
+    base = 1 + num.convert(params.lam) * num.convert(z)
+    if base <= 0:
+        raise DomainError("degenerate exponential undefined: 1 + lambda*z <= 0")
+    return num.power(base, num.convert(params.beta / params.lam))
+
+
+def tv_distance_by_bincount(draws, model) -> float:
+    """Total-variation distance between the empirical law of ``draws`` and the
+    model's pmf over 0 .. max draw, the pmf mass past it counted as leftover."""
+    import numpy as np
+
+    pmfs = np.array([float(model.pmf(n)) for n in range(int(draws.max()) + 1)])
+    freqs = np.bincount(draws, minlength=len(pmfs)) / len(draws)
+    return 0.5 * (float(np.abs(freqs - pmfs).sum()) + max(0.0, 1.0 - float(pmfs.sum())))

@@ -253,15 +253,16 @@ class TestSampleCommand:
 
     def test_summary_tv_is_tv_distance(self):
         # the command takes the TV from the histogram and pmf floats of its
-        # rows; it must print what tv_distance computes from the draws
+        # rows; it must print the TV a bincount of the draws gives
         from degenkraw.measure import MeasureModel
-        from degenkraw.sampling import sample, tv_distance
+        from degenkraw.sampling import sample
+        from oracles import tv_distance_by_bincount
 
         cfg = small_config(n_max=4)
         doc = json.loads(cmd_sample(cfg, 5000))
         model = MeasureModel(cfg.params, cfg.precision_digits)
         draws = sample(5000, cfg.seed, model)
-        assert doc["summary"]["tv_distance"] == f"{tv_distance(draws, model):.8f}"
+        assert doc["summary"]["tv_distance"] == f"{tv_distance_by_bincount(draws, model):.8f}"
 
     def test_seed_changes_output(self):
         a = cmd_sample(small_config(n_max=4), 5000)
@@ -328,7 +329,7 @@ class TestAuditCommand:
 
     def test_each_measure_quantity_once(self, monkeypatch):
         # joint-functional-oracle evaluates joint_laplace(s, t) once (three
-        # deg_exp calls per joint_laplace, two for the oracle's normalizer)
+        # _deg_exp calls per joint_laplace, two for the oracle's normalizer)
         # and literal-internal-consistency evaluates literal_mass once.  The
         # tail anchor is warmed first, so its pgf is not counted.
         import degenkraw.measure as measure
@@ -344,7 +345,9 @@ class TestAuditCommand:
 
             return wrapper
 
-        monkeypatch.setattr(measure, "deg_exp", counted("deg_exp", measure.deg_exp))
+        monkeypatch.setattr(
+            measure.MeasureModel, "_deg_exp", counted("deg_exp", measure.MeasureModel._deg_exp)
+        )
         monkeypatch.setattr(
             measure.MeasureModel, "literal_mass",
             counted("literal_mass", measure.MeasureModel.literal_mass),
@@ -484,14 +487,13 @@ PUBLIC_NAMES = [
     "K_epsilon", "K_from_P", "K_series", "K_stirling", "MeasureModel",
     "NonInvertibleSeries", "P_bell", "P_from_K", "P_from_K_stirling2", "P_series",
     "Params", "PolyFamily", "TSeries", "XPoly", "addition_P3", "addition_P4",
-    "bell_partial", "bracket_y", "c_coeffs", "chaos_to_poly", "classical_K",
-    "classical_pmf", "combinat", "config", "deg_exp",
+    "bracket_y", "c_coeffs", "chaos_to_poly", "classical_K", "combinat", "config",
     "deg_exp_series", "deg_falling", "epsilon", "epsilon_closed", "eta",
     "exact_moments", "faa_derivative", "family", "gen_binomial", "kappa",
     "laplace_series", "load_config", "measure", "monomial_from_K", "mu_coeffs",
     "operators", "poly_to_chaos", "polys", "rho_scaling", "sample", "sampling",
     "scale_expansion", "scale_substitution", "series", "stirling1", "stirling2",
-    "translate", "tv_distance", "varpi", "varrho", "xi_derivs",
+    "translate", "xi_derivs",
 ]
 
 # run in a fresh interpreter: the test process already holds mpmath and numpy
@@ -536,6 +538,18 @@ class TestStartupImports:
         assert "numpy" not in loaded["moments"]
         assert loaded["lazy"] == ["degenkraw.sampling", "degenkraw.measure", "degenkraw.operators"]
         assert loaded["all"] == PUBLIC_NAMES
+
+    def test_exact_path_imports_no_typing(self):
+        # the exact modules take their annotation names from collections.abc;
+        # -S keeps site (and whatever its .pth hooks import) out of the count
+        src = str(Path(degenkraw.__file__).resolve().parents[1])
+        child = "import sys, degenkraw.cli; print('typing' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", child],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
     @pytest.mark.parametrize(
         "argv",

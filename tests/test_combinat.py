@@ -9,7 +9,6 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from degenkraw.combinat import (
-    bell_partial,
     bell_triangle,
     bracket_y,
     deg_falling,
@@ -24,8 +23,6 @@ from degenkraw.combinat import (
     stirling2,
     theta_series,
     theta_triangle,
-    varpi,
-    varrho,
     zeta_triangle,
 )
 from degenkraw.series import TSeries, XPoly, log1p_scaled_series
@@ -88,7 +85,7 @@ class TestConcurrentMemoization:
         ] + [
             threading.Thread(target=worker, args=(f"s1-{i}", stirling1, 60)) for i in range(4)
         ] + [
-            threading.Thread(target=worker, args=(f"vp-{i}", lambda n, k: varpi(k, n, q), 16))
+            threading.Thread(target=worker, args=(f"vp-{i}", lambda n, k: cb.theta_triangle(q)[n][k], 16))
             for i in range(4)
         ] + [
             threading.Thread(
@@ -115,8 +112,8 @@ class TestConcurrentMemoization:
             assert results[f"br-{i}"] == results["br-0"]
         # the shared tables themselves stayed coherent
         assert cb.stirling2(59, 58) == math.comb(59, 2)
-        assert results["vp-0"][-1] == varpi_by_compositions(15, 15, q)
-        assert results["vp-0"][-2] == varpi_by_compositions(14, 15, q)
+        assert math.factorial(15) * results["vp-0"][-1] == varpi_by_compositions(15, 15, q)
+        assert math.factorial(14) * results["vp-0"][-2] == varpi_by_compositions(14, 15, q)
         bracket, eps = results["br-0"][-1]
         assert bracket == XPoly(cb.theta_triangle(q)[15]) == math.factorial(15) * eps
 
@@ -206,31 +203,31 @@ class TestCompositions:
 
 class TestBell:
     def test_edge_cases(self):
-        assert bell_partial(0, 0, []) == 1
-        assert bell_partial(5, 0, [1] * 6) == 0
+        assert bell_triangle([])[0][0] == 1
+        assert bell_triangle([1] * 6)[5][0] == 0
         for n in range(1, 7):
             xs = [F(i + 1, 2) for i in range(n)]
-            assert bell_partial(n, 1, xs) == xs[n - 1]
+            assert bell_triangle(xs)[n][1] == xs[n - 1]
 
     def test_b32_weight(self):
         # single pattern (i1,i2)=(1,1) with weight 3!/(1!1!(1!)^1(2!)^1) = 3
         x1, x2 = F(5, 3), F(-7, 2)
-        assert bell_partial(3, 2, [x1, x2]) == 3 * x1 * x2
+        assert bell_triangle([x1, x2])[3][2] == 3 * x1 * x2
 
     def test_specializes_to_stirling2(self):
         for n in range(11):
             for k in range(n + 1):
-                assert bell_partial(n, k, [F(1)] * (n - k + 1)) == stirling2(n, k)
+                assert bell_triangle([F(1)] * (n - k + 1))[n][k] == stirling2(n, k)
 
     def test_specializes_to_unsigned_stirling1(self):
-        facts = [F(math.factorial(j)) for j in range(12)]
+        rows = bell_triangle([F(math.factorial(j)) for j in range(12)])
         for n in range(11):
             for k in range(n + 1):
-                assert bell_partial(n, k, facts) == abs(stirling1(n, k))
+                assert rows[n][k] == abs(stirling1(n, k))
 
     def test_insufficient_arguments(self):
-        with pytest.raises(ValueError):
-            bell_partial(4, 2, [F(1)])
+        # B_{4,k} needs x_1..x_{5-k}: with x_1 alone only k = 0 and k = 4 exist
+        assert bell_triangle([F(1)])[4] == (0, None, None, None, 1)
 
     def test_triangle_matches_partition_sum(self):
         # the Riordan-triangle values against the partition enumeration,
@@ -238,9 +235,10 @@ class TestBell:
         rationals = [F(i * i - 3, 2 * i + 1) for i in range(1, 12)]
         polys = [XPoly((F(i), F(-1, i + 1), F(i, 3))) for i in range(1, 12)]
         for xs in (rationals, polys):
+            rows = bell_triangle(xs)
             for n in range(11):
                 for k in range(n + 1):
-                    got = bell_partial(n, k, xs)
+                    got = rows[n][k]
                     want = bell_partial_by_partitions(n, k, xs)
                     assert got == want and type(got) is type(want)
 
@@ -250,7 +248,7 @@ class TestBell:
         exact = [F(1, i + 2) for i in range(9)]
         for inexact in (mpmath.mpf(1) / 2, 0.5):
             with pytest.raises(TypeError):
-                bell_partial(9, 3, [inexact] + exact[1:])
+                bell_triangle([inexact] + exact[1:])
 
     def test_equal_vectors_of_two_types_keep_their_types(self):
         # an XPoly constant equals its Fraction, so a table shared by equal
@@ -262,7 +260,6 @@ class TestBell:
             for xs in (first, second):
                 kind = type(xs[0])
                 assert all(type(b) is kind for b in bell_triangle(xs)[8][1:])
-                assert all(type(bell_partial(8, k, xs)) is kind for k in range(1, 9))
 
     def test_faa_derivative_by_order(self):
         # one call returns every derivative through its order: a lower order
@@ -271,10 +268,11 @@ class TestBell:
         rationals = [F(0)] + [F(3 - i, 2 * i + 1) for i in range(1, 13)]
         polys = [XPoly()] + [XPoly((F(i), F(-1, i + 1), F(i, 3))) for i in range(1, 13)]
         for inner in (rationals, polys):
+            rows = bell_triangle(inner[1:])
             for n in range(10):
                 derivs = faa_derivative(outer, inner, n)
                 assert derivs == faa_derivative(outer, inner, n + 3)[: n + 1]
-                want = sum(outer[k] * bell_partial(n, k, inner[1:]) for k in range(n + 1))
+                want = sum(outer[k] * rows[n][k] for k in range(n + 1))
                 assert derivs[n] == want
 
 
@@ -458,21 +456,25 @@ class TestCoefficientFamilies:
                 assert XPoly(rows[n]) == bracket_y(n, q)
 
     def test_varpi(self):
-        assert varpi(0, 0, Q) == 1
-        assert varpi(1, 1, Q) == 1 - Q
+        # varpi(m, n) = n! [z^n] theta^m = m! times entry (n, m) of [1, theta]
+        assert theta_triangle(Q)[0][0] == 1
+        assert theta_triangle(Q)[1][1] == 1 - Q
         for q, _ in SET_QR:
+            rows = theta_triangle(q)
             for n in range(11):
                 for m in range(n + 1):
-                    assert varpi(m, n, q) == varpi_by_compositions(m, n, q)
+                    assert math.factorial(m) * rows[n][m] == varpi_by_compositions(m, n, q)
 
     def test_varrho(self):
-        assert varrho(0, 0, Q) == 1
+        # varrho(m, k) = k! [z^k] zeta^m = m! times entry (k, m) of [1, zeta]
+        assert zeta_triangle(Q)[0][0] == 1
         for k in range(1, 9):
-            assert varrho(1, k, Q) == kappa(k, Q)
+            assert zeta_triangle(Q)[k][1] == kappa(k, Q)
         for q, _ in SET_QR:
+            rows = zeta_triangle(q)
             for k in range(11):
                 for m in range(k + 1):
-                    assert varrho(m, k, q) == varrho_by_compositions(m, k, q)
+                    assert math.factorial(m) * rows[k][m] == varrho_by_compositions(m, k, q)
 
     def test_rho_scaling(self):
         r = F(3)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import mpmath
@@ -11,20 +12,19 @@ from mpmath import mpmathify as to_mpf
 from mpmath.ctx_iv import MPIntervalContext
 
 from degenkraw import measure
-from degenkraw.combinat import bell_partial, deg_falling, stirling1_unsigned
+from degenkraw.combinat import bell_triangle, deg_falling, stirling1_unsigned
 from degenkraw.measure import (
     _GUARD_DIGITS,
     DomainError,
     MeasureModel,
     Params,
     _e_pow_raw,
-    classical_pmf,
-    deg_exp,
     deg_exp_series,
 )
 from degenkraw.series import TSeries
 
 from conftest import ALL_SETS, SET_C
+from oracles import classical_pmf, deg_exp_by_fresh_context
 
 
 def mpf10(e):
@@ -150,20 +150,46 @@ class TestParams:
 class TestDegExp:
     def test_at_zero(self, params):
         with mp.workdps(50):
-            assert deg_exp(0, params) == 1
+            assert MeasureModel(params)._deg_exp(0) == 1
 
     def test_geometric_case(self):
         # lambda=-1, beta=1 collapses to 1/(1-z)
         params = Params.make(-1, 1, "1/2", 1)
         with mp.workdps(50):
+            model = MeasureModel(params)
             for z in (F(1, 3), F(-2), F(9, 10)):
-                got = deg_exp(z, params)
+                got = model._deg_exp(z)
                 assert abs(got - 1 / (1 - to_mpf(z))) < mpf10(-45)
 
     def test_domain_error(self):
         params = Params.make(-1, 1, "1/2", 1)
         with pytest.raises(DomainError):
-            deg_exp(2, params)
+            MeasureModel(params)._deg_exp(2)
+
+    @pytest.mark.parametrize("digits", [40, 60, 120])
+    @pytest.mark.parametrize("name", list(ALL_SETS))
+    def test_model_context_keeps_the_bits(self, name, digits):
+        # the model's own context has the precision of the one the reference
+        # builds per call, so every bit, and every domain error, is the same:
+        # rational arguments across the domain's edge, and model-context mpfs
+        # such as the ones pgf and joint_laplace pass
+        params = ALL_SETS[name]
+        model = MeasureModel(params, digits)
+        num = model._num
+        args = [F(k, 7) for k in range(-40, 41)]
+        args += [3 * num.log(num.convert(F(k, 5))) for k in range(1, 28)]
+        errors = 0
+        for z in args:
+            try:
+                want = deg_exp_by_fresh_context(z, params, digits)
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=re.escape(str(exc))):
+                    model._deg_exp(z)
+                errors += 1
+                continue
+            got = model._deg_exp(z)
+            assert got._mpf_ == want._mpf_ and got.context is num, z
+        assert 0 < errors < len(args)
 
     def test_series_coefficients_are_degenerate_factorials(self, params):
         series = deg_exp_series(TSeries([0, 1], 10), params)
@@ -200,6 +226,7 @@ class TestCanonicalPmf:
         # Bell values are exact, of the rational inner derivatives r q^m (m-1)!
         model = MeasureModel(params)
         inner = [params.r * params.q**m * math.factorial(m - 1) for m in range(1, 12)]
+        rows = bell_triangle(inner)
         with mp.workdps(70):
             a = 1 + to_mpf(params.lam) * to_mpf(params.r) * mpmath.log(to_mpf(params.p))
             for n in range(11):
@@ -208,7 +235,7 @@ class TestCanonicalPmf:
                     phi_j = to_mpf(deg_falling(params.beta, j, params.lam)) * mpmath.power(
                         a, to_mpf(params.beta / params.lam) - j
                     )
-                    acc += phi_j * to_mpf(bell_partial(n, j, inner))
+                    acc += phi_j * to_mpf(rows[n][j])
                 expected = acc / math.factorial(n)
                 assert abs(model.pmf(n) - expected) < mpf10(-50)
 
@@ -246,7 +273,7 @@ class TestCanonicalPmf:
         # whatever order the masses are asked for in
         model = MeasureModel(SET_C, 40)
         ns = list(range(0, 11, 2))
-        single = [model.mixture_pmf(n)._mpf_ for n in ns]
+        single = [model.mixture_pmfs([n])[0]._mpf_ for n in ns]
         assert [m._mpf_ for m in model.mixture_pmfs(ns)] == single
         assert [m._mpf_ for m in model.mixture_pmfs(ns[::-1])] == single[::-1]
 
@@ -300,7 +327,7 @@ class TestModelConstants:
         assert model == twin
         model.pmf(12)
         model.adaptive_cutoff(2)
-        model.gamma_laplace(F(1, 2))  # fills the node tables
+        model.gamma_laplaces([F(1, 2)])  # fills the node tables
         assert model == twin and twin == model
         assert model != MeasureModel(set_a, 41)
         assert model != MeasureModel(SET_C, 40)
@@ -438,7 +465,7 @@ class TestLaplaceAndMoments:
     def test_laplace_at_zero(self, params):
         model = MeasureModel(params)
         with mp.workdps(60):
-            assert abs(model.laplace(0) - 1) < mpf10(-50)
+            assert abs(model.pgf(mpmath.exp(0)) - 1) < mpf10(-50)
 
     def test_laplace_series_linear_coefficient(self, params):
         model = MeasureModel(params)
@@ -449,7 +476,7 @@ class TestLaplaceAndMoments:
         model = MeasureModel(params)
         with mp.workdps(70):
             z = mp.mpf(-1)
-            direct = model.laplace(z)
+            direct = model.pgf(mpmath.exp(z))
             total = mp.mpf(0)
             for n in range(model.adaptive_cutoff(0) + 1):
                 total += model.pmf(n) * mpmath.e ** (z * n)
@@ -469,7 +496,7 @@ class TestLaplaceAndMoments:
     def test_laplace_domain_errors(self, set_a):
         model = MeasureModel(set_a)
         with pytest.raises(DomainError):
-            model.laplace(10)  # q e^z >= 1
+            model.pgf(mpmath.exp(10))  # q e^z >= 1
 
     def test_moments_via_mixture_expectation(self, set_a):
         # first moment another way: E over the mixing law of r*S*q/p
@@ -494,7 +521,7 @@ class TestMixtureDensity:
         model = MeasureModel(params)
         with mp.workdps(60):
             for s in (F(1, 2), F(1), F(2)):
-                got = model.gamma_laplace(s)
+                got = model.gamma_laplaces([s])[0]
                 expected = mpmath.power(
                     1 - to_mpf(params.lam) * to_mpf(s), to_mpf(params.beta / params.lam)
                 )
@@ -505,7 +532,7 @@ class TestMixtureDensity:
         # any transform, whatever order the points are asked for in
         model = MeasureModel(SET_C, 40)
         xs = [F(1, 2), F(1), F(2)]
-        single = [model.gamma_laplace(x)._mpf_ for x in xs]
+        single = [model.gamma_laplaces([x])[0]._mpf_ for x in xs]
         assert [v._mpf_ for v in model.gamma_laplaces(xs)] == single
         assert [v._mpf_ for v in model.gamma_laplaces(xs[::-1])] == single[::-1]
 
@@ -537,7 +564,7 @@ class TestMixtureDensity:
         # x = -19/10, skipping by the x >= 0 bound would change bits; the
         # values keep quad's bits and the closed form (1 + x/2)^(-4)
         for x in (F(-1), F(-19, 10)):
-            got = model.gamma_laplace(x)
+            got = model.gamma_laplaces([x])[0]
             assert got._mpf_ == _gamma_laplace_by_mpf_terms(model, x)._mpf_
             assert abs(got / to_mpf((1 + x / 2) ** -4) - 1) < mpf10(-15)
 

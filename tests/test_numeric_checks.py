@@ -5,14 +5,18 @@ through ``Check.entry`` on set A at 40 digits and n_max 4, and reads the
 status.  Every entry gets a fresh ``RunContext``, so no cached quantity of
 an earlier model hides the defect.  The required checks must read
 "mismatch"; the literal checks, which read "mismatch" on the true model,
-must read "match-within-tol" once the canonical value is seeded.
+must read "match-within-tol" once the canonical value is seeded.  Last, a
+defect in the one degenerate exponential runs through the whole audit to its
+exit code.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from degenkraw.audit import CHECKS, RunContext, _judge
+from degenkraw.cli import cmd_audit
 from degenkraw.config import config_from_dict
 from degenkraw.measure import MeasureModel, _context
 
@@ -106,6 +110,36 @@ def test_joint_product_dependence(monkeypatch):
     result = entry("joint-product-dependence")
     assert result.status == "mismatch"
     assert result.residual.startswith("0.0")
+
+
+def audit_statuses(point=SET_A):
+    """(exit code, formula_id -> status) of the whole audit at 40 digits and n_max 4."""
+    text, code = cmd_audit(config_from_dict({**point, "n_max": 4, "precision_digits": 40}))
+    return code, {row["formula_id"]: row["status"] for row in json.loads(text)["rows"]}
+
+
+@pytest.mark.parametrize(
+    "rel, flipped",
+    [
+        (Fraction(1, 10**12), {"joint-functional-oracle", "literal-internal-consistency"}),
+        (Fraction(1, 10**18), {"literal-internal-consistency"}),
+    ],
+    ids=["1e-12", "1e-18"],
+)
+def test_seeded_deg_exp_defect_fails_the_audit(monkeypatch, rel, flipped):
+    # pgf, literal_mass and the joint functional all read _deg_exp; an exact
+    # relative factor (a float 1 + 1e-18 is 1.0) flips exactly the required
+    # checks named, and the audit exits 1 on them alone: every other entry
+    # reads as on the true model, where every required one passes
+    true_code, true_statuses = audit_statuses()
+    assert true_code == 0
+    off_by(monkeypatch, "_deg_exp", rel)
+    code, statuses = audit_statuses()
+    assert code == 1
+    assert statuses.keys() == true_statuses.keys()
+    assert {f for f, status in statuses.items() if status != true_statuses[f]} == flipped
+    assert {statuses[f] for f in flipped} == {"mismatch"}
+    assert flipped <= {check.formula_id for check in CHECKS if check.required}
 
 
 @pytest.mark.parametrize(

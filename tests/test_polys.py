@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SETS
-from degenkraw.combinat import bracket_y, epsilon, eta, stirling1, theta_triangle
-from degenkraw.measure import Params, exact_moments
+from degenkraw.combinat import bracket_y, epsilon, eta, stirling1, theta_series, theta_triangle
+from degenkraw.measure import Params, exact_moments, laplace_series
 from degenkraw.polys import (
     K_ROUTES,
     P_ROUTES,
@@ -43,6 +43,7 @@ from degenkraw.series import TSeries, XPoly
 from oracles import (
     c_coeffs_by_fractions,
     classical_by_series,
+    compose,
     stirling2_weight_by_fractions,
     stirling_transition_by_calls,
 )
@@ -75,6 +76,20 @@ class TestCoefficientData:
         order = 10
         series_route = deg_exp_xi_series(params, order).derivative_list()
         assert mu_coeffs(order, params) == series_route
+
+    @pytest.mark.parametrize(
+        "point",
+        [*ALL_SETS.values(), Params.make("-3/7", "5/3", "2/9", "7/4")],
+        ids=[*ALL_SETS, "D"],
+    )
+    def test_denominator_is_laplace_of_theta(self, point):
+        # D = L o theta (Roman, The Umbral Calculus, 1984, ch. 2): since
+        # p / (1 - q e^theta(t)) = 1 + qt, the measure's Laplace transform at
+        # theta is K's generating denominator, the tie between laplace_series
+        # and deg_exp_xi_series that no route states
+        order = 14
+        got = compose(laplace_series(point, order), theta_series(point.q, order))
+        assert got == deg_exp_xi_series(point, order)
 
     def test_c_frozen_values(self, params):
         c = c_coeffs(2, params)
@@ -249,14 +264,14 @@ class TestPFamily:
 
     def test_constant_terms_match_bell_sums(self, params):
         # value at 0 equals the alternating Bell sum over moments
-        from degenkraw.combinat import bell_partial
+        from degenkraw.combinat import bell_triangle
 
-        moments = exact_moments(params, 11)
+        rows = bell_triangle(exact_moments(params, 11)[1:])
         fam = P_series(params, 10)
         for n in range(11):
             acc = F(0)
             for k in range(n + 1):
-                acc += F((-1) ** k * math.factorial(k)) * bell_partial(n, k, moments[1:])
+                acc += F((-1) ** k * math.factorial(k)) * rows[n][k]
             assert fam[n](F(0)) == acc
 
     def test_stirling2_route_leading_term(self, params):
@@ -313,16 +328,16 @@ class TestBasisChanges:
         assert got == K_series(params, 1)[1]
 
     def test_p_from_k_roundtrip(self, params):
-        from degenkraw.combinat import varpi
-
         n_max = 8
         k_fam = K_series(params, n_max)
         p_fam = P_from_K(params, n_max)
-        # apply the forward change to the recovered companions: must give K back
+        # apply the forward change, varpi(m, n)/m! = n! [z^n] theta^m / m!, to
+        # the recovered companions: must give K back
+        rows = theta_triangle(params.q)
         for n in range(n_max + 1):
             acc = XPoly()
             for m in range(n + 1):
-                acc = acc + (varpi(m, n, params.q) / math.factorial(m)) * p_fam[m]
+                acc = acc + rows[n][m] * p_fam[m]
             assert acc == k_fam[n]
 
     def test_monomials(self, params):
@@ -472,7 +487,7 @@ class TestStirlingTransition:
 
     def test_oracle_route_reads_no_theta_table(self, monkeypatch):
         # the oracle route must stay independent of from-p: with the
-        # [1, theta] table and varpi disabled it still builds.  A point no
+        # [1, theta] table disabled it still builds.  A point no
         # other test uses keeps every family cache cold.
         import degenkraw.combinat as cb
         import degenkraw.polys as polys
@@ -481,9 +496,7 @@ class TestStirlingTransition:
             raise AssertionError("the oracle route read the [1, theta] table")
 
         for module in (cb, polys):
-            for name in ("theta_triangle", "varpi"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, disabled)
+            monkeypatch.setattr(module, "theta_triangle", disabled)
         params = Params.make("-3/4", "5/2", "2/7", "5/4")
         oracle = K_stirling(params, 12, "oracle")
         with pytest.raises(AssertionError):
