@@ -4,7 +4,8 @@ Krawtchouk-Appell polynomial families.
 Importing the package loads only the exact modules the families need.  The
 names backed by mpmath (``measure``), numpy (``sampling``) or the chaos
 operators (``operators``, run by the audit) are imported on first access
-(PEP 562), so a family build loads no floating point and no ``dataclasses``.
+(PEP 562), so a family build loads no floating point.  Every record is a
+``series.FrozenValue``; no module loads ``dataclasses``.
 """
 
 from .combinat import (

@@ -20,8 +20,6 @@ either evaluates audit checks or is one of the checks only ``verify`` runs
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -29,7 +27,7 @@ from mpmath import MPContext
 
 from .combinat import epsilon, epsilon_closed, theta_triangle
 from .config import PROPERTIES, VARIANT_PROPERTIES, Config, ConfigError, Params
-from .measure import _COMPARE_DIGITS, MeasureModel, _context, _nstr
+from .measure import MeasureModel, _nstr
 from .operators import (
     ChaosVector,
     scale_expansion,
@@ -53,17 +51,13 @@ from .polys import (
     mu_coeffs,
     stirling_transition,
 )
+from .series import FrozenValue
 
 
-@dataclass(frozen=True)
-class AuditEntry:
-    formula_id: str
-    anchor: str
-    variant: str
-    status: str
-    residual: str
-    notes: str
-    required: bool
+class AuditEntry(FrozenValue):
+    """One row of the audit: what was compared, its status and residual."""
+
+    _fields = ("formula_id", "anchor", "variant", "status", "residual", "notes", "required")
 
     @property
     def passed(self) -> bool:
@@ -102,25 +96,19 @@ def example_K2_printed(params) -> XPoly:
 # the check registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunContext:
+class RunContext(FrozenValue):
     """What the checks of one run share: the parameter point, the family
     size, the numeric model, the canonical main family and the context of
-    every numeric comparison, ``_COMPARE_DIGITS`` digits over the model's
-    precision.  A model value enters it through ``num.convert``."""
+    every numeric comparison, the model's ``compare``.  A model value
+    enters it through ``num.convert``."""
 
-    params: Params
-    n_max: int
-    model: MeasureModel
-    base: PolyFamily
-    num: MPContext
+    _fields = ("params", "n_max", "model", "base", "num")
 
     @classmethod
     def of(cls, config: Config) -> "RunContext":
         model = MeasureModel(config.params, config.precision_digits)
         base = K_series(config.params, config.n_max)
-        num = _context(model.precision + _COMPARE_DIGITS)
-        return cls(config.params, config.n_max, model, base, num)
+        return cls(config.params, config.n_max, model, base, model.compare)
 
     @cached_property
     def moment_sums(self) -> tuple[list, int]:
@@ -129,21 +117,17 @@ class RunContext:
         return [self.num.convert(v) for v in sums], cutoff
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(FrozenValue):
     """One audit entry; ``run`` returns (gap, notes).  An exact check's gap
     is None when its sides agree, else the tuple that ``residual`` formats.
     A numeric check declares ``tol``, the k of its tolerance 10^-k (or k as a
     function of the run), and its ``_judge`` rule; "{tol}" in its notes is k."""
 
-    formula_id: str
-    anchor: str
-    variant: str
-    required: bool
-    run: Callable[[RunContext], tuple]
-    residual: str = "n={0}: {1}"
-    tol: int | Callable[[RunContext], int] | None = None
-    rule: str = "below"
+    _fields = ("formula_id", "anchor", "variant", "required", "run", "residual", "tol", "rule")
+
+    def __init__(self, formula_id, anchor, variant, required, run, residual="n={0}: {1}",
+                 tol=None, rule="below"):
+        super().__init__(formula_id, anchor, variant, required, run, residual, tol, rule)
 
     def tolerance(self, ctx: RunContext) -> int:
         return self.tol(ctx) if callable(self.tol) else self.tol

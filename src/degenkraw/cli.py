@@ -14,9 +14,9 @@ requested formula leaves its real domain, exit with code 2; a failing
 canonical audit entry exits with code 1.
 
 Each subcommand imports what it runs inside its ``cmd_*`` function, so
-``polys`` loads only the exact modules: no mpmath, numpy or audit, no
-chaos operators (``degenkraw.operators``) and no ``dataclasses``.  Only
-``sample`` loads numpy.
+``polys`` loads only the exact modules: no mpmath, numpy or audit and no
+chaos operators (``degenkraw.operators``).  Only ``sample`` loads numpy,
+and with it ``inspect``; no subcommand loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -136,10 +136,10 @@ def cmd_polys(config: Config, route: str) -> str:
 def cmd_moments(config: Config, m_max: int) -> str:
     if m_max < 0:
         raise ConfigError("m_max must be nonnegative")
-    from .measure import _COMPARE_DIGITS, MeasureModel, _context, _nstr
+    from .measure import MeasureModel, _nstr
 
     model = MeasureModel(config.params, config.precision_digits)
-    num = _context(config.precision_digits + _COMPARE_DIGITS)
+    num = model.compare
     # the literal column leaves its domain before any sum is worth running
     literal = [""] + [_nstr(num, model.literal_moment(m), 25) for m in range(1, m_max + 1)]
     sums, cutoff = model.truncated_moment_sums(m_max)

@@ -40,7 +40,6 @@ table's own context, ``transform_nodes``, ``guess_degree``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -52,6 +51,7 @@ from .combinat import _C1_ROWS, _TABLES, GrowingTable, _next_c1_row, deg_falling
 # the exact side of the model and DomainError live in config, free of mpmath;
 # re-exported here
 from .config import DomainError, Params, deg_exp_series, exact_moments, laplace_series
+from .series import FrozenValue
 
 DEFAULT_DIGITS = 60
 _GUARD_DIGITS = 15
@@ -172,36 +172,38 @@ def _sum_term(man, exp, x, limit):
 # the measure model
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MeasureModel:
+class MeasureModel(FrozenValue):
     """Degenerate Pascal measure at a parameter point, with numeric caches.
 
     ``precision`` is the number of working decimal digits for every
     transcendental evaluation (at least 40).  The pmf support cutoff is
     chosen adaptively so a computed geometric tail bound drops below
     10^-(precision/2).  Models compare equal by point and precision; the
-    caches and the constants, computed once on first use, take no part.
+    contexts, and the caches and constants computed once on first use, take
+    no part.
 
     It computes in private contexts: ``_num`` at ``precision +
     _GUARD_DIGITS`` digits, ``_wide`` 15 digits higher for the support sums
     and ``_quad`` ``_QUAD_EXTRA_BITS`` bits higher for quadrature.  It
     returns their mpfs; a caller at another precision converts them.
+    ``compare``, ``_COMPARE_DIGITS`` digits over ``precision``, is the
+    context in which callers compare and print the model's values.
     """
 
-    params: Params
-    precision: int = DEFAULT_DIGITS
-    _phi: GrowingTable = field(init=False, compare=False, repr=False)
-    _num: MPContext = field(init=False, compare=False, repr=False)
-    _wide: MPContext = field(init=False, compare=False, repr=False)
-    _quad: MPContext = field(init=False, compare=False, repr=False)
+    _fields = ("params", "precision")
 
-    def __post_init__(self):
-        if self.precision < 40:
+    def __init__(self, params: Params, precision: int = DEFAULT_DIGITS):
+        if precision < 40:
             raise ValueError("precision must be at least 40 digits")
-        self._num = _context(self.precision + _GUARD_DIGITS)
-        self._wide = _context(self.precision + 2 * _GUARD_DIGITS)
-        self._quad = _context(prec=self._num.prec + _QUAD_EXTRA_BITS)
-        self._phi = GrowingTable(self._next_phi)
+        super().__init__(params, precision)
+        num = _context(precision + _GUARD_DIGITS)
+        self.__dict__.update(
+            _num=num,
+            _wide=_context(precision + 2 * _GUARD_DIGITS),
+            _quad=_context(prec=num.prec + _QUAD_EXTRA_BITS),
+            _phi=GrowingTable(self._next_phi),
+            compare=_context(precision + _COMPARE_DIGITS),
+        )
 
     # -- helpers ------------------------------------------------------------
 

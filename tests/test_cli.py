@@ -513,6 +513,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     loaded["polys"] = [m for m in heavy if m in sys.modules]
     assert main(["moments", "--m-max", "2"]) == 0
     loaded["moments"] = [m for m in heavy if m in sys.modules]
+    assert main(["audit", "--n-max", "1"]) == 0
+    loaded["audit"] = [m for m in heavy if m in sys.modules]
+    assert main(["verify", "--property", "normalization", "--n-max", "4"]) == 0
+    loaded["verify"] = [m for m in heavy if m in sys.modules]
+    assert main(["sample", "--count", "1000"]) == 0  # last: numpy loads inspect
+    loaded["sample"] = [m for m in heavy if m in sys.modules]
 
 import degenkraw
 loaded["lazy"] = [
@@ -536,6 +542,10 @@ class TestStartupImports:
         assert loaded["import"] == []
         assert loaded["polys"] == []
         assert "numpy" not in loaded["moments"]
+        # every record is a FrozenValue; only numpy brings inspect in
+        for command in ("moments", "audit", "verify"):
+            assert not {"dataclasses", "inspect"} & set(loaded[command]), command
+        assert "dataclasses" not in loaded["sample"]
         assert loaded["lazy"] == ["degenkraw.sampling", "degenkraw.measure", "degenkraw.operators"]
         assert loaded["all"] == PUBLIC_NAMES
 

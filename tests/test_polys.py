@@ -589,3 +589,30 @@ class TestClassicalFamily:
         assert errs[2] < F(1, 10**4)
         for hi, lo in zip(errs, errs[1:]):
             assert F(9) < hi / lo < F(11)
+
+
+def _integral(poly: XPoly, moments) -> F:
+    """The exact integral of `poly` against the measure whose moments are given."""
+    return sum(poly.coeff(i) * moments[i] for i in range(poly.degree + 1))
+
+
+class TestCenteringAndGram:
+    """Exact forms of the non-orthogonality that acceptance criterion 10 and
+    the audit's joint-product-dependence show in floating point."""
+
+    @pytest.mark.parametrize(
+        "point",
+        [*ALL_SETS.values(), Params.make("-3/7", "5/3", "2/9", "7/4")],
+        ids=[*ALL_SETS, "D"],
+    )
+    def test_members_past_zero_integrate_to_zero(self, point):
+        # row and column 0 of the Gram matrix are delta: integral K_n dmu = [n == 0]
+        moments, fam = exact_moments(point, 12), K_series(point, 12)
+        assert [_integral(fam[n], moments) for n in range(13)] == [1] + [0] * 12
+
+    def test_gram_entries_on_set_a(self):
+        # G_mn = integral K_m K_n dmu; G_12 = 4.032 is criterion 10's number
+        params = ALL_SETS["A"]
+        moments, fam = exact_moments(params, 4), K_series(params, 2)
+        gram = {(m, n): _integral(fam[m] * fam[n], moments) for m, n in ((1, 1), (1, 2), (2, 2))}
+        assert gram == {(1, 1): F(96, 25), (1, 2): F(504, 125), (2, 2): F(26976, 625)}

@@ -1,11 +1,15 @@
 """Value semantics of the frozen records: ``Params``, ``Config``,
-``PolyFamily`` and ``ChaosVector``.
+``PolyFamily``, ``ChaosVector``, ``AuditEntry``, ``MeasureModel``, ``Check``
+and ``RunContext``.
 
 Each is held to what a frozen dataclass gives: equal fields make equal
 objects with equal hashes (so one ``lru_cache`` entry), objects of two
 classes are never equal, assignment raises, and a round trip through
-pickle, copy or deepcopy keeps ``==`` and ``hash``.  Every validation
-error of the constructors fires with its type.
+pickle, copy or deepcopy keeps ``==`` and ``hash``.  A model, a check and
+a run context hold mpmath contexts, locks or closures, so none of them is
+pickled, and a run context, whose ``num`` compares by identity, is held
+to the assignment test only.  Every validation error of the constructors
+fires with its type.
 """
 
 import copy
@@ -15,14 +19,16 @@ from functools import lru_cache
 
 import pytest
 
+from degenkraw.audit import AuditEntry, Check, RunContext
 from degenkraw.config import Config, ConfigError, Params
+from degenkraw.measure import MeasureModel
 from degenkraw.operators import ChaosVector
 from degenkraw.polys import PolyFamily
 from degenkraw.series import XPoly
 
 
 def _records():
-    """Two independently built, equal instances of each class."""
+    """Two independently built, equal instances of each picklable class."""
 
     def build():
         params = Params.make("-1/2", 2, "3/5", 3)
@@ -31,6 +37,22 @@ def _records():
             Config(params, 10, None, 60, 42, "json"),
             PolyFamily((XPoly((1,)), XPoly((F(1, 2), F(3, 5)))), "series"),
             ChaosVector.make((1, "2/3", 0)),
+            AuditEntry("moment-oracle", "anchor", "canonical", "exact-match", "0", "", True),
+        ]
+
+    return list(zip(build(), build()))
+
+
+def _unpicklable_records():
+    """Two equal instances of each class that holds a context or a closure."""
+
+    def runner(ctx):
+        return None, ""
+
+    def build():
+        return [
+            MeasureModel(Params.make("-1/2", 2, "3/5", 3), 40),
+            Check("k-route-x", "anchor", "canonical", True, runner, tol=5),
         ]
 
     return list(zip(build(), build()))
@@ -38,9 +60,11 @@ def _records():
 
 RECORDS = _records()
 IDS = [type(a).__name__ for a, _ in RECORDS]
+VALUES = RECORDS + _unpicklable_records()
+VALUE_IDS = [type(a).__name__ for a, _ in VALUES]
 
 
-@pytest.mark.parametrize("pair", RECORDS, ids=IDS)
+@pytest.mark.parametrize("pair", VALUES, ids=VALUE_IDS)
 def test_equal_fields_give_equal_objects_and_hashes(pair):
     a, b = pair
     assert a is not b
@@ -49,7 +73,7 @@ def test_equal_fields_give_equal_objects_and_hashes(pair):
     assert repr(a) == repr(b) and repr(a).startswith(type(a).__name__ + "(")
 
 
-@pytest.mark.parametrize("pair", RECORDS, ids=IDS)
+@pytest.mark.parametrize("pair", VALUES, ids=VALUE_IDS)
 def test_equal_objects_share_one_cache_entry(pair):
     calls = []
 
@@ -64,7 +88,7 @@ def test_equal_objects_share_one_cache_entry(pair):
 
 
 def test_objects_of_different_classes_are_unequal():
-    values = [a for a, _ in RECORDS]
+    values = [a for a, _ in VALUES]
     for i, a in enumerate(values):
         for b in values[i + 1 :]:
             assert a != b and b != a
@@ -87,11 +111,20 @@ def test_different_fields_give_unequal_objects():
     members = (XPoly((1,)),)
     assert PolyFamily(members, "series") != PolyFamily(members, "p-series")
     assert ChaosVector.make((1, 2)) != ChaosVector.make((1, 3))
+    entry = ("moment-oracle", "anchor", "canonical", "exact-match", "0", "", True)
+    assert AuditEntry(*entry) != AuditEntry(*entry[:3], "mismatch", *entry[4:])
+    assert MeasureModel(params, 40) != MeasureModel(params, 41)
 
 
-@pytest.mark.parametrize("pair", RECORDS, ids=IDS)
-def test_assignment_raises(pair):
-    a, _ = pair
+# a run context joins the assignment test only: its num, the model's compare,
+# is an mpmath context, which compares by identity
+RUN_CONTEXT = RunContext.of(Config(Params.make("-1/2", 2, "3/5", 3), 2, None, 40, 0, "csv"))
+
+
+@pytest.mark.parametrize(
+    "a", [a for a, _ in VALUES] + [RUN_CONTEXT], ids=VALUE_IDS + ["RunContext"]
+)
+def test_assignment_raises(a):
     field = a._fields[0]
     before = getattr(a, field)
     with pytest.raises(AttributeError):
